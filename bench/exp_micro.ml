@@ -220,7 +220,8 @@ let table5 () =
 
 (* --- Table 2 / Table 10 --- *)
 
-(* A populated Aurora region checkpointing a 64 KiB dirty set. *)
+(* A populated Aurora region checkpointing a 64 KiB dirty set: the
+   (stall, shadow, io, collapse) phase times of its last checkpoint. *)
 let aurora_breakdown () =
   Sched.run (fun () ->
       let _, k, _ = mk_aurora () in
@@ -239,28 +240,29 @@ let aurora_breakdown () =
       done;
       Aurora.Region.checkpoint r;
       let rng = Rng.create 5 in
-      for _ = 1 to 5 do
+      for round = 1 to 5 do
         for _ = 1 to 16 do
           Aurora.Region.write r ~off:(Rng.int rng pages * page) (Bytes.make 64 'd')
         done;
+        (* Keep only the final checkpoint's samples: one per phase. *)
+        if round = 5 then Metrics.reset ();
         Aurora.Region.checkpoint r
       done;
-      match Aurora.Region.last_breakdown r with
-      | Some b -> b
-      | None -> failwith "no breakdown")
+      let phase p = int_of_float (Metrics.mean_ns p) in
+      ( phase Probe.aurora_stall,
+        phase Probe.aurora_shadow,
+        phase Probe.aurora_io,
+        phase Probe.aurora_collapse ))
 
 let table2 () =
   section "Table 2: Aurora region checkpoint breakdown (64 KiB dirty)";
-  let b = aurora_breakdown () in
+  let stall, shadow, io, collapse = aurora_breakdown () in
   let t = Tbl.create ~title:"latency by phase" ~headers:[ "Phase"; "us"; "paper (us)" ] in
-  Tbl.row t [ "Waiting for calls (stall)"; Tbl.us b.Aurora.Region.stall; "26.7" ];
-  Tbl.row t [ "Applying COW (shadowing)"; Tbl.us b.Aurora.Region.shadow; "79.8" ];
-  Tbl.row t [ "Flush IO"; Tbl.us b.Aurora.Region.io; "27.9" ];
-  Tbl.row t [ "Removing COW (collapse)"; Tbl.us b.Aurora.Region.collapse; "91.7" ];
-  Tbl.row t
-    [ "Total";
-      Tbl.us (b.Aurora.Region.stall + b.Aurora.Region.shadow + b.Aurora.Region.io + b.Aurora.Region.collapse);
-      "208.1" ];
+  Tbl.row t [ "Waiting for calls (stall)"; Tbl.us stall; "26.7" ];
+  Tbl.row t [ "Applying COW (shadowing)"; Tbl.us shadow; "79.8" ];
+  Tbl.row t [ "Flush IO"; Tbl.us io; "27.9" ];
+  Tbl.row t [ "Removing COW (collapse)"; Tbl.us collapse; "91.7" ];
+  Tbl.row t [ "Total"; Tbl.us (stall + shadow + io + collapse); "208.1" ];
   print_table t
 
 let table10 () =
@@ -280,19 +282,17 @@ let table10 () =
           Metrics.mean_ns Probe.msnap_persist_wait,
           Metrics.mean_ns Probe.msnap_persist_total ))
   in
-  let b = aurora_breakdown () in
+  let stall, shadow, io, collapse = aurora_breakdown () in
   let t =
     Tbl.create ~title:"64 KiB persist, per phase (us)"
       ~headers:[ "Operation"; "MemSnap"; "Aurora" ]
   in
   let us_f v = Tbl.us (int_of_float v) in
-  Tbl.row t [ "Waiting for calls"; "N/A"; Tbl.us b.Aurora.Region.stall ];
-  Tbl.row t [ "Applying COW"; us_f ms_reset; Tbl.us b.Aurora.Region.shadow ];
-  Tbl.row t [ "Flush IO"; us_f ms_io; Tbl.us b.Aurora.Region.io ];
-  Tbl.row t [ "Removing COW"; "N/A"; Tbl.us b.Aurora.Region.collapse ];
-  Tbl.row t
-    [ "Total"; us_f ms_total;
-      Tbl.us (b.Aurora.Region.stall + b.Aurora.Region.shadow + b.Aurora.Region.io + b.Aurora.Region.collapse) ];
+  Tbl.row t [ "Waiting for calls"; "N/A"; Tbl.us stall ];
+  Tbl.row t [ "Applying COW"; us_f ms_reset; Tbl.us shadow ];
+  Tbl.row t [ "Flush IO"; us_f ms_io; Tbl.us io ];
+  Tbl.row t [ "Removing COW"; "N/A"; Tbl.us collapse ];
+  Tbl.row t [ "Total"; us_f ms_total; Tbl.us (stall + shadow + io + collapse) ];
   Tbl.note t "paper: memsnap 5.1 / 46.3 / 51.4; aurora 26.7 / 79.8 / 27.9 / 91.7 / 208.1";
   print_table t
 

@@ -1,5 +1,6 @@
 module Sched = Msnap_sim.Sched
 module Trace = Msnap_sim.Trace
+module Metrics = Msnap_sim.Metrics
 module Probe = Msnap_sim.Probe
 module Sync = Msnap_sim.Sync
 module Costs = Msnap_sim.Costs
@@ -43,7 +44,6 @@ module Kernel = struct
     mutable cow_copies : Phys.page list;
         (* Original frames replaced by COW during the flight; freed at
            collapse. *)
-    mutable breakdown : (int * int * int * int) option;
   }
 
   let create ~aspace ~store ?(other_mapped_pages = 65536) () =
@@ -86,8 +86,6 @@ module Region = struct
   open Kernel
 
   type t = Kernel.region
-
-  type breakdown = { stall : int; shadow : int; io : int; collapse : int }
 
   (* Write fault during an in-flight checkpoint: redirect the writer to a
      fresh copy so the shadow frame stays stable ("shadow object"). The
@@ -147,8 +145,7 @@ module Region = struct
     in
     let r =
       { k; r_name = name; r_va = va; r_len = len; mapping; obj; waiters = [];
-        ckpt_running = false; shadow_frames = []; cow_copies = [];
-        breakdown = None }
+        ckpt_running = false; shadow_frames = []; cow_copies = [] }
     in
     k.regions <- r :: k.regions;
     r
@@ -238,37 +235,30 @@ module Region = struct
     let pages = List.map (fun (rel, page) -> (rel, page.Phys.data)) dirty in
     if pages <> [] then ignore (Store.commit r.k.store r.obj pages)
 
-  (* One full checkpoint round. *)
+  (* One full checkpoint round. Each phase is one Metrics sample (the
+     Table 2 decomposition) and, when tracing, a span emitted the moment
+     it ends so its reconstructed start (now - dur) lands where the
+     phase actually began. *)
   let run_checkpoint r =
-    let t0 = Sched.now () in
+    let t0 = Metrics.timed_begin () in
     stop_world r.k;
-    let t_stall = Sched.now () in
-    (* Each phase span is emitted the moment it ends so its reconstructed
-       start (now - dur) lands where the phase actually began. *)
-    if Trace.is_on () then
-      Trace.complete Probe.aurora_stall ~dur:(t_stall - t0)
-        ~argi:("threads", r.k.threads);
+    Metrics.timed_end Probe.aurora_stall t0 ~argi:("threads", r.k.threads);
+    let t_stall = Metrics.timed_begin () in
     let dirty = shadow_region r in
-    let t_shadow = Sched.now () in
-    if Trace.is_on () then
-      Trace.complete Probe.aurora_shadow ~dur:(t_shadow - t_stall)
-        ~argi:("dirty_pages", List.length dirty);
+    Metrics.timed_end Probe.aurora_shadow t_stall
+      ~argi:("dirty_pages", List.length dirty);
+    let t_shadow = Metrics.timed_begin () in
     resume_world r.k;
     flush_dirty r dirty;
-    let t_io = Sched.now () in
-    if Trace.is_on () then
-      Trace.complete Probe.aurora_io ~dur:(t_io - t_shadow);
+    Metrics.timed_end Probe.aurora_io t_shadow;
+    let t_io = Metrics.timed_begin () in
     collapse_region r;
-    let t_collapse = Sched.now () in
-    r.breakdown <-
-      Some (t_stall - t0, t_shadow - t_stall, t_io - t_shadow, t_collapse - t_io);
-    if Trace.is_on () then begin
-      Trace.complete Probe.aurora_collapse ~dur:(t_collapse - t_io);
-      Trace.complete Probe.aurora_checkpoint ~dur:(t_collapse - t0)
+    Metrics.timed_end Probe.aurora_collapse t_io;
+    if Trace.is_on () then
+      Trace.complete Probe.aurora_checkpoint ~dur:(Sched.now () - t0)
         ~args:
           [ ("region", Trace.S r.r_name);
             ("dirty_pages", Trace.I (List.length dirty)) ]
-    end
 
   let checkpoint r =
     let iv = Sync.Ivar.create () in
@@ -287,11 +277,6 @@ module Region = struct
       rounds ()
     end;
     Sync.Ivar.read iv
-
-  let last_breakdown r =
-    Option.map
-      (fun (stall, shadow, io, collapse) -> { stall; shadow; io; collapse })
-      r.breakdown
 end
 
 (* OS state serialization: registers, FDs, kqueues, sysctl state... modeled

@@ -61,13 +61,10 @@ module Region : sig
   (** [read] into a caller-owned buffer — same charges, no allocation. *)
 
   val checkpoint : t -> unit
-  (** Synchronous region checkpoint (flat-combined across callers). *)
-
-  type breakdown = { stall : int; shadow : int; io : int; collapse : int }
-  (** Nanoseconds per phase — the Table 2 decomposition. *)
-
-  val last_breakdown : t -> breakdown option
-  (** Breakdown of the region's most recent checkpoint. *)
+  (** Synchronous region checkpoint (flat-combined across callers).
+      Each round records one {!Msnap_sim.Metrics} sample per phase —
+      [Probe.aurora_stall], [aurora_shadow], [aurora_io] and
+      [aurora_collapse], the Table 2 decomposition. *)
 end
 
 val checkpoint_app : Kernel.t -> unit

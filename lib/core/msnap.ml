@@ -470,7 +470,7 @@ let persist t ?region ?(mode = `Sync) ?(scope = `Thread) () =
   Sched.with_bucket Probe.Bucket.memsnap (fun () ->
       Sched.cpu Costs.syscall;
       Metrics.incr Probe.msnap_persist;
-      let t0 = Sched.now () in
+      let t0 = Metrics.timed_begin () in
       let taken = take_entries t ~scope ~region in
       if Trace.is_on () then begin
         let seen = Hashtbl.create 4 in
@@ -485,9 +485,7 @@ let persist t ?region ?(mode = `Sync) ?(scope = `Thread) () =
         done
       end;
       reset_tracking t taken;
-      let d_reset = Sched.now () - t0 in
-      Metrics.add_sample Probe.msnap_persist_reset d_reset;
-      Trace.complete Probe.msnap_persist_reset ~dur:d_reset;
+      Metrics.timed_end Probe.msnap_persist_reset t0;
       (* Group by region and commit each group as one μCheckpoint. The
          per-region slot lists are consed during the forward scan, so
          they come out scan-reversed — exactly the order the old
@@ -502,7 +500,7 @@ let persist t ?region ?(mode = `Sync) ?(scope = `Thread) () =
           Hashtbl.add by_region r.r_name (ref [ i ]);
           regions_in_order := r :: !regions_in_order
       done;
-      let t1 = Sched.now () in
+      let t1 = Metrics.timed_begin () in
       let commits =
         List.map
           (fun r ->
@@ -521,9 +519,7 @@ let persist t ?region ?(mode = `Sync) ?(scope = `Thread) () =
             (r, ep, ticket, idxs, flow))
           (List.rev !regions_in_order)
       in
-      let d_init = Sched.now () - t1 in
-      Metrics.add_sample Probe.msnap_persist_initiate d_init;
-      Trace.complete Probe.msnap_persist_initiate ~dur:d_init;
+      Metrics.timed_end Probe.msnap_persist_initiate t1;
       let result_epoch =
         match region with
         | Some r -> (
@@ -553,20 +549,16 @@ let persist t ?region ?(mode = `Sync) ?(scope = `Thread) () =
       in
       (match mode with
       | `Sync ->
-        let t2 = Sched.now () in
+        let t2 = Metrics.timed_begin () in
         finish ();
-        let d_wait = Sched.now () - t2 in
-        Metrics.add_sample Probe.msnap_persist_wait d_wait;
-        Trace.complete Probe.msnap_persist_wait ~dur:d_wait
+        Metrics.timed_end Probe.msnap_persist_wait t2
       | `Async ->
         if commits = [] then release_taken t taken
         else
           ignore
             (Sched.spawn ~name:"msnap-complete" (fun () ->
                  try finish () with _ -> ())));
-      let d_total = Sched.now () - t0 in
-      Metrics.add_sample Probe.msnap_persist_total d_total;
-      Trace.complete Probe.msnap_persist_total ~dur:d_total;
+      Metrics.timed_end Probe.msnap_persist_total t0;
       result_epoch)
 
 let wait t r epoch =

@@ -1,12 +1,12 @@
-(** Counters and latency histograms for experiment reporting, keyed by
+(** Counters and latency means for experiment reporting, keyed by
     typed {!Probe}s.
 
     The case studies instrument their persistence calls
     ([Probe.db_fsync], [Probe.db_write], [Probe.db_memsnap], ...)
     through this registry; the benchmark harness reads the totals to
-    regenerate the paper's syscall-count tables (Tables 7 and 9).
-    Storage is keyed by the probe's wire name, so reported output is
-    identical to the historical string-keyed registry.
+    regenerate the paper's syscall-count tables (Tables 7 and 9) and
+    the per-phase means of Tables 2, 5 and 10. Storage is one
+    {!Pstats} store indexed by probe id.
 
     State is domain-local — call {!reset} between experiments. Every
     entry point takes a typed {!Probe}; use {!Probe.make} for ad-hoc
@@ -21,10 +21,7 @@ val count : Probe.t -> int
 (** Current value (0 if never bumped). *)
 
 val add_sample : Probe.t -> int -> unit
-(** Record one latency sample (ns); also bumps the implicit op counter
-    of the same name. *)
-
-val hist : Probe.t -> Msnap_util.Histogram.t option
+(** Record one latency sample (ns); also bumps the probe's counter. *)
 
 val mean_ns : Probe.t -> float
 (** Mean of the samples recorded under a probe (0 if none). *)
@@ -32,14 +29,14 @@ val mean_ns : Probe.t -> float
 val samples : Probe.t -> int
 
 val counters : unit -> (string * int) list
-(** All counters, sorted by name. *)
+(** Every probe with a nonzero counter, sorted by name. *)
 
 (** {2 Cell isolation}
 
     Used by [Msnap_sim.Cell] to give each parallel simulation cell a
-    private registry, merged back into the submitting experiment's
-    registry at force time in submission order (counters add,
-    histograms fold sample-exactly). Bracket, don't interleave. *)
+    private store, merged back into the submitting experiment's store
+    at force time in submission order ({!Pstats.merge}). Bracket, don't
+    interleave. *)
 
 type snapshot
 
@@ -52,7 +49,7 @@ val cell_end : snapshot -> snapshot
     {!cell_merge}. *)
 
 val cell_merge : snapshot -> unit
-(** Fold a finished cell's counters and histograms into the current
+(** Fold a finished cell's counters and samples into the current
     store. The snapshot must not be used again. *)
 
 val timed : Probe.t -> (unit -> 'a) -> 'a
@@ -61,8 +58,9 @@ val timed : Probe.t -> (unit -> 'a) -> 'a
     the probe's subsystem category. *)
 
 val timed_begin : unit -> int
-val timed_end : Probe.t -> int -> unit
+val timed_end : ?argi:string * int -> Probe.t -> int -> unit
 (** Closure-free bracket form of {!timed} for hot call sites:
     [let t0 = timed_begin () in ...; timed_end probe t0]. Not recorded
-    if the section raises (same as {!timed}). *)
+    if the section raises (same as {!timed}). [argi] is passed through
+    to the trace span ({!Trace.complete}). *)
 

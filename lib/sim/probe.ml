@@ -24,8 +24,8 @@ type t = { p_sub : subsystem; p_name : string; p_id : int }
 
 (* Probes are interned by (subsystem, name): repeated [make] calls with
    the same name return the same value, so the dense [id] can key flat
-   per-probe stats arrays (Trace keeps its emit-time summary there —
-   an int-indexed array load instead of a hashed tuple per event). *)
+   per-probe stats arrays (Pstats, behind Metrics and the Trace summary:
+   an int-indexed array load instead of a hashed string per event). *)
 let intern_lock = Mutex.create ()
 let interned : (string, t) Hashtbl.t = Hashtbl.create 128
 let by_id : t array ref = ref [||]

@@ -1,6 +1,6 @@
 (** Typed instrumentation points.
 
-    Every counter, latency histogram, CPU-accounting bucket, and trace
+    Every counter, latency sample, CPU-accounting bucket, and trace
     span in the simulator is identified by a probe: a value carrying the
     subsystem it belongs to and its wire name. Using first-class values
     instead of raw strings makes instrumentation typos compile errors
@@ -34,7 +34,7 @@ type t
 val make : subsystem -> string -> t
 (** Ad-hoc probe. Probes are interned by (subsystem, name): two [make]
     calls with the same name return the same probe (and so address the
-    same counter/histogram). *)
+    same stats). *)
 
 val name : t -> string
 (** The wire name — what {!Metrics.counters} reports and what appears as
@@ -47,7 +47,8 @@ val subsystem : t -> subsystem
 
 val id : t -> int
 (** Dense id assigned at interning time, for flat per-probe tables
-    (Trace's emit-time stats). Stable within a process. *)
+    ({!Pstats}, behind Metrics and the Trace summary). Stable within a
+    process. *)
 
 val count : unit -> int
 (** Number of distinct probes interned so far; ids are [0..count()-1]. *)

@@ -59,36 +59,34 @@ type store = {
   mutable next_flow : int;
   (* First-seen name per tid, registered when an event is stored. *)
   tnames : (int, string) Hashtbl.t;
-  (* Per-probe running totals indexed by [Probe.id], kept at emit time
-     so the summary stays exact even when the buffer hits its cap. An
-     int-indexed array load replaces the old hashed-tuple lookup. *)
-  mutable st_count : int array;
-  mutable st_total : int array;
-  mutable st_max : int array;
+  (* Per-probe span count/total/max, kept at emit time so the summary
+     stays exact even when the buffer hits its cap. *)
+  stats : Pstats.t;
 }
+
+let fresh ~enabled ~verbose ~limit =
+  {
+    enabled;
+    verbose;
+    limit;
+    b_probe = [||];
+    b_ts = [||];
+    b_dur = [||];
+    b_tid = [||];
+    b_args = [||];
+    b_ak = [||];
+    b_av = [||];
+    b_flow = [||];
+    len = 0;
+    dropped = 0;
+    next_flow = 0;
+    tnames = Hashtbl.create 32;
+    stats = Pstats.create ();
+  }
 
 let store_key : store Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      {
-        enabled = false;
-        verbose = false;
-        limit = 1 lsl 20;
-        b_probe = [||];
-        b_ts = [||];
-        b_dur = [||];
-        b_tid = [||];
-        b_args = [||];
-        b_ak = [||];
-        b_av = [||];
-        b_flow = [||];
-        len = 0;
-        dropped = 0;
-        next_flow = 0;
-        tnames = Hashtbl.create 32;
-        st_count = [||];
-        st_total = [||];
-        st_max = [||];
-      })
+      fresh ~enabled:false ~verbose:false ~limit:(1 lsl 20))
 
 let store () = Domain.DLS.get store_key
 
@@ -107,25 +105,7 @@ let set_thread_source ~tid ~tname =
   thread_name_source := tname
 
 let enable ?(limit = 1 lsl 20) ?(verbose = false) () =
-  let s = store () in
-  s.enabled <- true;
-  s.verbose <- verbose;
-  s.limit <- limit;
-  s.b_probe <- [||];
-  s.b_ts <- [||];
-  s.b_dur <- [||];
-  s.b_tid <- [||];
-  s.b_args <- [||];
-  s.b_ak <- [||];
-  s.b_av <- [||];
-  s.b_flow <- [||];
-  s.len <- 0;
-  s.dropped <- 0;
-  s.next_flow <- 0;
-  Hashtbl.reset s.tnames;
-  s.st_count <- [||];
-  s.st_total <- [||];
-  s.st_max <- [||]
+  Domain.DLS.set store_key (fresh ~enabled:true ~verbose ~limit)
 
 let disable () = (store ()).enabled <- false
 let is_on () = (store ()).enabled
@@ -139,17 +119,6 @@ let new_flow () =
   let s = store () in
   s.next_flow <- s.next_flow + 1;
   s.next_flow
-
-let ensure_stats s =
-  let n = Probe.count () in
-  let grow a =
-    let na = Array.make n 0 in
-    Array.blit a 0 na 0 (Array.length a);
-    na
-  in
-  s.st_count <- grow s.st_count;
-  s.st_total <- grow s.st_total;
-  s.st_max <- grow s.st_max
 
 let grow_buf s =
   let cap = max 1024 (min s.limit (2 * Array.length s.b_probe)) in
@@ -173,12 +142,8 @@ let grow_buf s =
 
 let emit s ?(args = []) ?(argi = ("", 0)) ?flow probe ~ts ~dur =
   let pid = Probe.id probe in
-  if pid >= Array.length s.st_count then ensure_stats s;
-  s.st_count.(pid) <- s.st_count.(pid) + 1;
-  if dur > 0 then begin
-    s.st_total.(pid) <- s.st_total.(pid) + dur;
-    if dur > s.st_max.(pid) then s.st_max.(pid) <- dur
-  end;
+  (* Instants (-1) and counters (-2) count without adding time. *)
+  Pstats.sample s.stats probe dur;
   if s.len >= s.limit then s.dropped <- s.dropped + 1
   else begin
     if s.len >= Array.length s.b_probe then grow_buf s;
@@ -241,27 +206,7 @@ let buffer_limit () = (store ()).limit
 
 let cell_begin ~enabled ~verbose ~limit =
   let saved = store () in
-  Domain.DLS.set store_key
-    {
-      enabled;
-      verbose;
-      limit;
-      b_probe = [||];
-      b_ts = [||];
-      b_dur = [||];
-      b_tid = [||];
-      b_args = [||];
-      b_ak = [||];
-      b_av = [||];
-      b_flow = [||];
-      len = 0;
-      dropped = 0;
-      next_flow = 0;
-      tnames = Hashtbl.create 32;
-      st_count = [||];
-      st_total = [||];
-      st_max = [||];
-    };
+  Domain.DLS.set store_key (fresh ~enabled ~verbose ~limit);
   saved
 
 let cell_end saved =
@@ -272,18 +217,7 @@ let cell_end saved =
 
 let cell_merge ~shift cell =
   let s = store () in
-  if Array.length cell.st_count > 0 then begin
-    if Array.length s.st_count < Array.length cell.st_count then
-      ensure_stats s;
-    Array.iteri
-      (fun i c ->
-        if c > 0 then begin
-          s.st_count.(i) <- s.st_count.(i) + c;
-          s.st_total.(i) <- s.st_total.(i) + cell.st_total.(i);
-          if cell.st_max.(i) > s.st_max.(i) then s.st_max.(i) <- cell.st_max.(i)
-        end)
-      cell.st_count
-  end;
+  Pstats.merge ~into:s.stats cell.stats;
   s.dropped <- s.dropped + cell.dropped;
   (* Flow ids are only unique within a store; rebase the cell's ids
      past everything already issued here. *)
@@ -334,18 +268,10 @@ let dropped () = (store ()).dropped
 let dump () =
   let s = store () in
   let summary = ref [] in
-  for i = Array.length s.st_count - 1 downto 0 do
-    if s.st_count.(i) > 0 then begin
-      let p = Probe.of_id i in
+  Pstats.iter s.stats (fun p ~count ~samples:_ ~total ~max ->
       summary :=
-        ( Probe.subsystem_name (Probe.subsystem p),
-          Probe.name p,
-          s.st_count.(i),
-          s.st_total.(i),
-          s.st_max.(i) )
-        :: !summary
-    end
-  done;
+        (Probe.subsystem_name (Probe.subsystem p), Probe.name p, count, total, max)
+        :: !summary);
   (* Transfer the columns instead of copying: a capped buffer is ~48 MB
      of arrays, and snapshotting it inside the export window forced
      major-GC slices proportional to whatever heap the run had built up.

@@ -1,7 +1,7 @@
 (** Hierarchical timing wheel: a monotone priority queue over integer
     timestamps with FIFO order among equal priorities — the same
     (prio, seq) lexicographic order as the binary heap it replaces
-    ([Msnap_sim.Pq], kept as the reference implementation), but
+    (kept as [Ref_pq] in the tests, the differential oracle), but
     allocation-free in steady state. Entries live in a recycled
     struct-of-arrays arena; wheel slots are FIFO rings of arena
     indices; occupancy bitmaps make the min-scan a couple of

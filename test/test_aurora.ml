@@ -1,4 +1,6 @@
 module Sched = Msnap_sim.Sched
+module Metrics = Msnap_sim.Metrics
+module Probe = Msnap_sim.Probe
 module Size = Msnap_util.Size
 module Disk = Msnap_blockdev.Disk
 module Stripe = Msnap_blockdev.Stripe
@@ -88,17 +90,22 @@ let test_breakdown_phases () =
       (* Clean the population, then measure a 64 KiB-dirty checkpoint. *)
       Aurora.Region.checkpoint r;
       Aurora.Region.write r ~off:0 (Bytes.make (Size.kib 64) 'd');
+      Metrics.reset ();
       Aurora.Region.checkpoint r;
-      match Aurora.Region.last_breakdown r with
-      | None -> Alcotest.fail "no breakdown"
-      | Some b ->
-        checkb "stall > 0" true (b.Aurora.Region.stall > 0);
-        checkb "shadow > 0" true (b.Aurora.Region.shadow > 0);
-        checkb "io > 0" true (b.Aurora.Region.io > 0);
-        checkb "collapse > 0" true (b.Aurora.Region.collapse > 0);
-        (* Table 2's signature: shadow+collapse dominate the IO. *)
-        checkb "shadowing overhead dominates" true
-          (b.Aurora.Region.shadow + b.Aurora.Region.collapse > b.Aurora.Region.io))
+      let phase p =
+        checki (Probe.name p ^ " sampled once") 1 (Metrics.samples p);
+        int_of_float (Metrics.mean_ns p)
+      in
+      let stall = phase Probe.aurora_stall in
+      let shadow = phase Probe.aurora_shadow in
+      let io = phase Probe.aurora_io in
+      let collapse = phase Probe.aurora_collapse in
+      checkb "stall > 0" true (stall > 0);
+      checkb "shadow > 0" true (shadow > 0);
+      checkb "io > 0" true (io > 0);
+      checkb "collapse > 0" true (collapse > 0);
+      (* Table 2's signature: shadow+collapse dominate the IO. *)
+      checkb "shadowing overhead dominates" true (shadow + collapse > io))
     ()
 
 let test_shadow_cost_scales_with_mapping () =

@@ -3,6 +3,9 @@ module Sync = Msnap_sim.Sync
 module Metrics = Msnap_sim.Metrics
 module Probe = Msnap_sim.Probe
 module Trace = Msnap_sim.Trace
+module Cell = Msnap_sim.Cell
+module Histogram = Msnap_util.Histogram
+module Taskpool = Msnap_util.Taskpool
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -260,7 +263,7 @@ let test_metrics () =
   Metrics.reset ();
   checki "reset" 0 (Metrics.count (Probe.make Probe.Host "x"))
 
-(* --- Metrics: reset, nesting, histogram counts --- *)
+(* --- Metrics: reset, nesting, sample counts --- *)
 
 let test_metrics_reset_clears_hists () =
   Metrics.reset ();
@@ -268,10 +271,10 @@ let test_metrics_reset_clears_hists () =
       Metrics.add_sample Probe.db_write 100;
       Metrics.add_sample Probe.db_write 200);
   checki "samples before reset" 2 (Metrics.samples Probe.db_write);
-  checkb "hist exists" true (Metrics.hist Probe.db_write <> None);
   Metrics.reset ();
   checki "samples cleared" 0 (Metrics.samples Probe.db_write);
-  checkb "hist cleared" true (Metrics.hist Probe.db_write = None);
+  Alcotest.(check (float 0.0)) "mean cleared" 0.0
+    (Metrics.mean_ns Probe.db_write);
   checki "counter cleared" 0 (Metrics.count Probe.db_write)
 
 let test_metrics_timed_nesting () =
@@ -290,16 +293,83 @@ let test_metrics_timed_nesting () =
 
 let test_metrics_histogram_sample_counts () =
   Metrics.reset ();
+  let h = Histogram.create () in
   Sched.run (fun () ->
       for i = 1 to 64 do
-        Metrics.add_sample Probe.db_read (i * 10)
+        Metrics.add_sample Probe.db_read (i * 10);
+        Histogram.add h (i * 10)
       done);
   checki "samples" 64 (Metrics.samples Probe.db_read);
-  (match Metrics.hist Probe.db_read with
-  | None -> Alcotest.fail "histogram missing"
-  | Some h -> checki "hist count" 64 (Msnap_util.Histogram.count h));
-  (* add_sample also bumps the implicit op counter of the same name. *)
+  checki "histogram agrees" (Histogram.count h) (Metrics.samples Probe.db_read);
+  (* add_sample also bumps the probe's counter. *)
   checki "implicit counter" 64 (Metrics.count Probe.db_read)
+
+(* The store keeps an int total where a Histogram keeps a float sum: the
+   means agree bit for bit while the total stays below 2^53. *)
+let prop_metrics_mean_matches_histogram =
+  QCheck.Test.make ~count:300
+    ~name:"mean and samples equal Histogram's over random samples"
+    QCheck.(list (oneof [ int_bound 100; int_bound 1_000_000_000 ]))
+    (fun xs ->
+      Metrics.reset ();
+      let p = Probe.make Probe.Host "prop.lat" in
+      let h = Histogram.create () in
+      List.iter
+        (fun v ->
+          Metrics.add_sample p v;
+          Histogram.add h v)
+        xs;
+      Metrics.samples p = Histogram.count h
+      && Int64.equal
+           (Int64.bits_of_float (Metrics.mean_ns p))
+           (Int64.bits_of_float (Histogram.mean h)))
+
+(* A cell body interns a probe after the forcing domain's Metrics and
+   Trace stores were sized: the force-time merge has to grow both and
+   land the probe's stats exactly. Returns (count, samples, mean) from
+   Metrics and (count, total, max) from the trace summary. *)
+let cell_fresh_probe ~workers name =
+  Taskpool.shutdown ();
+  Taskpool.ensure_workers workers;
+  Metrics.reset ();
+  Trace.enable ();
+  Sched.run (fun () ->
+      Metrics.incr Probe.db_write;
+      Trace.instant Probe.db_write);
+  let sized = Probe.count () in
+  let c =
+    Cell.submit (fun () ->
+        let p = Probe.make Probe.Host name in
+        Sched.run (fun () ->
+            List.iter
+              (fun d -> Metrics.timed p (fun () -> Sched.delay d))
+              [ 30; 0; 120; 7 ]);
+        Metrics.incr ~by:3 p;
+        p)
+  in
+  let p = Cell.force c in
+  Trace.disable ();
+  Taskpool.shutdown ();
+  checkb "interned after sizing" true (Probe.id p >= sized);
+  let summary =
+    List.filter_map
+      (fun (sub, n, count, total, max) ->
+        if sub = "host" && n = name then Some (count, total, max) else None)
+      (Trace.dump ()).Trace.d_summary
+  in
+  ((Metrics.count p, Metrics.samples p, Metrics.mean_ns p), summary)
+
+let test_cell_merge_grows_stores () =
+  let serial = cell_fresh_probe ~workers:0 "cell.fresh.serial" in
+  let parallel = cell_fresh_probe ~workers:1 "cell.fresh.parallel" in
+  let expect = ((7, 4, 39.25), [ (4, 157, 120) ]) in
+  let show ((c, s, m), sum) =
+    Printf.sprintf "metrics %d/%d/%g trace %s" c s m
+      (String.concat ";"
+         (List.map (fun (c, t, m) -> Printf.sprintf "%d/%d/%d" c t m) sum))
+  in
+  checks "serial" (show expect) (show serial);
+  checks "parallel matches serial" (show serial) (show parallel)
 
 (* --- typed buckets --- *)
 
@@ -429,50 +499,6 @@ let test_trace_buffer_cap_keeps_summary_exact () =
   in
   checki "summary counts all emissions" 20 count;
   checki "summary total exact past the cap" 100 total
-
-module Pq = Msnap_sim.Pq
-
-let test_pq_order () =
-  (* Interleaved pushes and pops must drain in (prio, insertion) order —
-     exercises the vacated-slot clearing in pop. *)
-  let q = Pq.create () in
-  let popped = ref [] in
-  let r = ref 12345 in
-  let next () =
-    r := (!r * 1103515245) + 12345;
-    (!r lsr 16) land 0xff
-  in
-  for round = 0 to 4 do
-    for _ = 1 to 50 do
-      let p = next () in
-      Pq.push q ~prio:p p
-    done;
-    for _ = 1 to 20 + round do
-      match Pq.pop q with
-      | Some v -> popped := v :: !popped
-      | None -> Alcotest.fail "premature empty"
-    done
-  done;
-  let rec drain () =
-    match Pq.pop q with
-    | Some v ->
-      popped := v :: !popped;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  checkb "empty" true (Pq.is_empty q);
-  checki "popped all" 250 (List.length !popped);
-  (* Each drained batch must be sorted w.r.t. what was in the queue; a
-     global check: total multiset is preserved. *)
-  let sum = List.fold_left ( + ) 0 !popped in
-  checkb "sum positive" true (sum > 0)
-
-let test_pq_fifo_ties () =
-  let q = Pq.create () in
-  List.iteri (fun i v -> ignore i; Pq.push q ~prio:7 v) [ "a"; "b"; "c"; "d" ];
-  let out = List.init 4 (fun _ -> Option.get (Pq.pop q)) in
-  checks "tie order" "a,b,c,d" (String.concat "," out)
 
 let test_delay_fast_path_ordering () =
   (* A thread advancing via the inline fast path must still lose the race
@@ -635,11 +661,6 @@ let () =
           tc "typed bucket nesting" test_bucket_nesting_typed;
           tc "determinism" test_determinism_end_to_end;
         ] );
-      ( "pq",
-        [
-          tc "interleaved order" test_pq_order;
-          tc "fifo ties" test_pq_fifo_ties;
-        ] );
       ( "waker",
         [
           tc "pool reuse" test_waker_pool_reuse;
@@ -662,6 +683,8 @@ let () =
           tc "reset clears histograms" test_metrics_reset_clears_hists;
           tc "timed nesting" test_metrics_timed_nesting;
           tc "histogram sample counts" test_metrics_histogram_sample_counts;
+          QCheck_alcotest.to_alcotest prop_metrics_mean_matches_histogram;
+          tc "cell merge grows stores" test_cell_merge_grows_stores;
         ] );
       ( "trace",
         [

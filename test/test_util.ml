@@ -932,7 +932,7 @@ let prop_tp_model =
 
 module Twheel = Msnap_util.Twheel
 
-(* Verbatim copy of the scheduler's previous run queue (lib/sim/pq.ml):
+(* Verbatim copy of the scheduler's previous run queue:
    a binary heap over (prio, seq) with an insertion sequence number for
    FIFO order among equal priorities. The timing wheel must match it
    pop for pop. *)
@@ -1040,6 +1040,41 @@ let test_twheel_levels () =
       checki "min tracks" p (Twheel.min_prio tw);
       checki "pop order" i (Twheel.pop_min tw))
     prios
+
+(* Long push bursts between pop bursts (50 pushes, then 20-24 pops,
+   five rounds, then a drain) — a shape the random differential below
+   rarely draws. Pushes land up to 255 past the current minimum, so many
+   share a priority; the wheel must match the reference heap pop for
+   pop. *)
+let test_twheel_batched_vs_reference () =
+  let tw = Twheel.create ~initial:2 () in
+  let pq = Ref_pq.create () in
+  let r = ref 12345 in
+  let next () =
+    r := (!r * 1103515245) + 12345;
+    (!r lsr 16) land 0xff
+  in
+  let now = ref 0 and v = ref 0 in
+  let pop () =
+    now := Twheel.min_prio tw;
+    let got = Twheel.pop_min tw in
+    checkb "same pop as the reference" true (Some got = Ref_pq.pop pq)
+  in
+  for round = 0 to 4 do
+    for _ = 1 to 50 do
+      let prio = !now + next () in
+      Twheel.push tw ~prio !v;
+      Ref_pq.push pq ~prio !v;
+      incr v
+    done;
+    for _ = 1 to 20 + round do
+      pop ()
+    done
+  done;
+  while not (Ref_pq.is_empty pq) do
+    pop ()
+  done;
+  checkb "empty" true (Twheel.is_empty tw)
 
 (* Differential property: drive the wheel and the reference heap with an
    identical monotone op sequence — pushes at now + delta (frequent
@@ -1208,6 +1243,8 @@ let () =
           tc "equal-priority FIFO across interleaved pops"
             test_twheel_fifo_ties;
           tc "multi-level cascade order" test_twheel_levels;
+          tc "batched push/pop matches the reference heap"
+            test_twheel_batched_vs_reference;
           QCheck_alcotest.to_alcotest prop_twheel_differential;
         ] );
       ( "tbl",
