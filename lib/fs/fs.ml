@@ -846,7 +846,7 @@ exception Mount_error of string
 let mount_error fmt = Printf.ksprintf (fun s -> raise (Mount_error s)) fmt
 
 (* (seq, cursor, slot, files) of a valid non-overflow snapshot. *)
-let parse_snapshot buf ~slot =
+let parse_snapshot ~slot buf =
   let len = Bytes.length buf in
   if len < snap_header + 8 then None
   else if Wire.get_u32 buf 0 <> snap_magic then None
@@ -920,6 +920,19 @@ let parse_commit buf ~pos ~block =
         }
   end
 
+(* Recovery scans read whole metadata areas (up to the 1 MiB journal
+   ring) once per mount. Read into a pooled buffer of exactly [len]
+   bytes, parse it in place with [f], and recycle it on the way out:
+   parsers copy what they keep, so nothing outlives the call. The device
+   command is the one [Device.read] would issue. *)
+let with_dev_read dev ~off ~len f =
+  let buf = Pool.alloc len in
+  Fun.protect
+    ~finally:(fun () -> Pool.recycle buf)
+    (fun () ->
+      Device.read_into dev ~off (Slice.of_bytes buf);
+      f buf)
+
 (* Mount an FFS image: newest intact metadata snapshot, plus the replay
    of every committed journal transaction younger than it. Fails loudly
    ([Mount_error]) when acknowledged transactions cannot be
@@ -935,10 +948,12 @@ let mount dev ~kind =
      past slot 1's blocks, so read its full possible extent). *)
   let snap =
     let s0 =
-      parse_snapshot (Device.read dev ~off:dev_bs ~len:((meta_blocks - 1) * dev_bs)) ~slot:0
+      with_dev_read dev ~off:dev_bs ~len:((meta_blocks - 1) * dev_bs)
+        (parse_snapshot ~slot:0)
     in
     let s1 =
-      parse_snapshot (Device.read dev ~off:(32 * dev_bs) ~len:(32 * dev_bs)) ~slot:1
+      with_dev_read dev ~off:(32 * dev_bs) ~len:(32 * dev_bs)
+        (parse_snapshot ~slot:1)
     in
     match (s0, s1) with
     | None, s | s, None -> s
@@ -966,15 +981,14 @@ let mount dev ~kind =
       (seq, cursor, Some slot)
   in
   (* Scan the whole ring for intact commit records. *)
-  let jbuf =
-    Device.read dev ~off:(meta_blocks * dev_bs) ~len:(journal_blocks * dev_bs)
-  in
   let records = ref [] in
-  for b = 0 to journal_blocks - 1 do
-    match parse_commit jbuf ~pos:(b * dev_bs) ~block:(meta_blocks + b) with
-    | Some r -> records := r :: !records
-    | None -> ()
-  done;
+  with_dev_read dev ~off:(meta_blocks * dev_bs) ~len:(journal_blocks * dev_bs)
+    (fun jbuf ->
+      for b = 0 to journal_blocks - 1 do
+        match parse_commit jbuf ~pos:(b * dev_bs) ~block:(meta_blocks + b) with
+        | Some r -> records := r :: !records
+        | None -> ()
+      done);
   let newer =
     List.sort
       (fun a b -> compare a.jc_seq b.jc_seq)
@@ -1054,7 +1068,8 @@ let recoverable ~kind ~files =
           (fun name ->
             let f = open_file fs name in
             let n = size fs f in
-            (name, Bytes.to_string (read fs f ~off:0 ~len:n)))
+            (* The fresh buffer has no other owner: hand it over uncopied. *)
+            (name, Bytes.unsafe_to_string (read fs f ~off:0 ~len:n)))
           files
       in
       Msnap_faults.Recoverable.check_state ~label history state

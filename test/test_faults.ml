@@ -193,18 +193,23 @@ let test_materialize_full_prefix () =
         (first_diff img final = None))
     [ ("disk", mk_disk); ("stripe", mk_stripe) ]
 
-(* End-to-end checker smoke on a real engine workload: the serial and
+(* End-to-end checker smoke on real engine workloads: the serial and
    parallel runs must produce the identical report, and the invariant
-   must hold at every point. *)
+   must hold at every point. The object store recovers through
+   [Store.mount]; the FFS workload through [Fs.mount], whose pooled scan
+   buffers then also cycle through the worker domains' pools. *)
 let test_checker_end_to_end () =
   let opts = { Checker.default_opts with max_points = 60 } in
-  let w = Msnap_crashwl.Workloads.objstore_workload in
-  let serial = Checker.run ~opts w in
-  let parallel = Checker.run ~opts:{ opts with jobs = 2 } w in
-  checkb "no failures" true (serial.Checker.r_failures = []);
-  checki "points visited" 60 serial.Checker.r_points;
-  checkb "serial = parallel report" true
-    (Checker.pp_report serial = Checker.pp_report parallel)
+  List.iter
+    (fun (w : Checker.workload) ->
+      let serial = Checker.run ~opts w in
+      let parallel = Checker.run ~opts:{ opts with jobs = 2 } w in
+      let name = w.w_name in
+      checkb (name ^ " no failures") true (serial.Checker.r_failures = []);
+      checki (name ^ " points visited") 60 serial.Checker.r_points;
+      checkb (name ^ " serial = parallel report") true
+        (Checker.pp_report serial = Checker.pp_report parallel))
+    Msnap_crashwl.Workloads.[ objstore_workload; fs_workload ]
 
 let () =
   Alcotest.run "faults"

@@ -260,6 +260,134 @@ let test_fdatasync_cheaper_than_fsync () =
       checkb "fdatasync not slower" true (data_only <= full))
     ()
 
+(* --- mount / recovery ---
+
+   Mount tests use one plain disk so the raw-media helpers ([peek],
+   [poke]) address device offsets directly. The suite runs with debug
+   checks on, so every pooled scan buffer a mount reuses arrives
+   poisoned: a parse that looked past the bytes actually read would see
+   poison, not data. *)
+
+let mk_dev () = Device.of_disk (Disk.create ~name:"d0" ~size:(Size.mib 16) ())
+
+(* Write [data] at [off] of [name] and fsync it: one committed journal
+   transaction. *)
+let write_sync fs name ~off data =
+  let f = Fs.open_file fs name in
+  Fs.write fs f ~off (Bytes.of_string data);
+  Fs.fsync fs f
+
+(* Mount [dev] and check each (name, contents) pair. *)
+let mount_check dev files =
+  let m = Fs.mount dev ~kind:Fs.Ffs in
+  List.iter
+    (fun (name, want) ->
+      let f = Fs.open_file m name in
+      let n = Fs.size m f in
+      checki (name ^ " size") (String.length want) n;
+      checks (name ^ " contents") want (Bytes.to_string (Fs.read m f ~off:0 ~len:n)))
+    files;
+  Fs.dispose m
+
+(* [n] small transactions on "churn". Each takes two journal ring blocks
+   (intent entries, then the commit record), so 140 of them wrap the
+   256-block ring and overwrite commits 1-12. Leaves "txn 0140" for
+   [n = 140]. *)
+let churn fs n =
+  for i = 1 to n do
+    write_sync fs "churn" ~off:0 (Printf.sprintf "txn %04d" i)
+  done
+
+(* Flip one byte of the stored checksum of the snapshot in [slot]. *)
+let corrupt_snapshot dev ~slot =
+  let base = if slot = 0 then 4096 else 32 * 4096 in
+  let content_len = Msnap_util.Wire.get_u32 (Device.peek dev ~member:0 ~off:base ~len:28) 24 in
+  let off = base + content_len in
+  let b = Device.peek dev ~member:0 ~off ~len:1 in
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
+  Device.poke dev ~member:0 ~off ~data:b
+
+let test_mount_fsynced_files () =
+  in_sim (fun () ->
+      let dev = mk_dev () in
+      let fs = Fs.mkfs dev ~kind:Fs.Ffs in
+      let big = Bytes.to_string (Rng.bytes (Rng.create 3) 100_000) in
+      write_sync fs "big" ~off:0 big;
+      write_sync fs "small" ~off:0 "hello mount";
+      (* The second mount parses the first one's recycled buffers. *)
+      for _ = 1 to 2 do
+        mount_check dev [ ("big", big); ("small", "hello mount") ]
+      done)
+    ()
+
+let test_mount_slot_fallback () =
+  in_sim (fun () ->
+      let dev = mk_dev () in
+      let fs = Fs.mkfs dev ~kind:Fs.Ffs in
+      Fs.sync_meta fs (* slot 0: empty, txn 0 *);
+      churn fs 140;
+      Fs.sync_meta fs (* slot 1: txn 140 *);
+      write_sync fs "tail" ~off:0 "after slot 1";
+      Fs.sync_meta fs (* slot 0: txn 141, the newest *);
+      let files = [ ("churn", "txn 0140"); ("tail", "after slot 1") ] in
+      mount_check dev files;
+      corrupt_snapshot dev ~slot:0;
+      (* Slot 1 plus the replay of txn 141 rebuilds the same state. *)
+      mount_check dev files;
+      (* With no intact snapshot the wrapped ring cannot replay from
+         txn 1: the fallback above really came from slot 1. *)
+      corrupt_snapshot dev ~slot:1;
+      checkb "both slots corrupt: unmountable" true
+        (match Fs.mount dev ~kind:Fs.Ffs with
+        | exception Fs.Mount_error _ -> true
+        | _ -> false))
+    ()
+
+let test_mount_replays_newer_commits () =
+  in_sim (fun () ->
+      let dev = mk_dev () in
+      let fs = Fs.mkfs dev ~kind:Fs.Ffs in
+      write_sync fs "a" ~off:0 "snapshotted";
+      Fs.sync_meta fs;
+      (* Both transactions below are in the journal only. *)
+      write_sync fs "a" ~off:11 " then journaled";
+      write_sync fs "b" ~off:0 "journal only";
+      mount_check dev [ ("a", "snapshotted then journaled"); ("b", "journal only") ])
+    ()
+
+let test_mount_journal_gap () =
+  in_sim (fun () ->
+      let dev = mk_dev () in
+      let fs = Fs.mkfs dev ~kind:Fs.Ffs in
+      churn fs 140;
+      match Fs.mount dev ~kind:Fs.Ffs with
+      | exception Fs.Mount_error msg ->
+        checkb "reports the gap" true (String.starts_with ~prefix:"journal gap" msg)
+      | _ -> Alcotest.fail "mounted past a journal seq gap")
+    ()
+
+(* A mount scans 380 KiB of snapshot slots and the 1 MiB journal ring.
+   Those scan buffers come from the pool, so once a first mount has
+   parked them a second mount of the same image allocates almost nothing
+   on the major heap (fresh buffers would cost 179,712 words; the ring
+   alone is 131,072). *)
+let test_mount_major_alloc () =
+  in_sim (fun () ->
+      let dev = mk_dev () in
+      let fs = Fs.mkfs dev ~kind:Fs.Ffs in
+      churn fs 20;
+      Fs.sync_meta fs;
+      write_sync fs "tail" ~off:0 "journaled";
+      Fs.dispose (Fs.mount dev ~kind:Fs.Ffs);
+      let _, _, major0 = Gc.counters () in
+      let m = Fs.mount dev ~kind:Fs.Ffs in
+      let _, _, major1 = Gc.counters () in
+      Fs.dispose m;
+      let words = int_of_float (major1 -. major0) in
+      if words >= 32_768 then
+        Alcotest.failf "second mount allocated %d major words (limit 32768)" words)
+    ()
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "fs"
@@ -277,6 +405,14 @@ let () =
           tc "resident scan" test_resident_scan_cost_grows;
           tc "sync_meta" test_sync_meta_writes;
           tc "fdatasync" test_fdatasync_cheaper_than_fsync;
+        ] );
+      ( "mount",
+        [
+          tc "fsynced files survive" test_mount_fsynced_files;
+          tc "slot 0 corrupt falls back to slot 1" test_mount_slot_fallback;
+          tc "newer commits replay" test_mount_replays_newer_commits;
+          tc "journal gap refused" test_mount_journal_gap;
+          tc "pooled scan buffers" test_mount_major_alloc;
         ] );
       ( "zfs",
         [
