@@ -52,7 +52,7 @@ module Medium = struct
     while !remaining > 0 do
       let i = !pos lsr chunk_bits in
       let coff = !pos land (chunk_size - 1) in
-      let n = min !remaining (chunk_size - coff) in
+      let n = Int.min !remaining (chunk_size - coff) in
       f i coff (!pos - off) n;
       pos := !pos + n;
       remaining := !remaining - n
@@ -86,7 +86,7 @@ module Medium = struct
           let send = o + Slice.length s in
           let i = !pos lsr chunk_bits in
           let coff = !pos land (chunk_size - 1) in
-          let n = min (send - !pos) (chunk_size - coff) in
+          let n = Int.min (send - !pos) (chunk_size - coff) in
           Bytes.blit (Slice.buf s)
             (Slice.pos s + (!pos - o))
             (chunk_for_write m i) coff n;
@@ -317,7 +317,8 @@ let torn_sector_budget ~rng ~elapsed ~dur ~total_sectors =
   in
   let base = int_of_float (frac *. float_of_int total_sectors) in
   let jitter = if total_sectors > 0 then Rng.int rng (total_sectors + 1) else 0 in
-  min total_sectors (min base jitter + (max base jitter - min base jitter) / 2)
+  Int.min total_sectors
+    (Int.min base jitter + ((Int.max base jitter - Int.min base jitter) / 2))
 
 (* Tear each in-flight command: commit whole sectors of a prefix whose
    length reflects how far the transfer had progressed, perturbed
@@ -346,10 +347,10 @@ let fail_power t ~torn_seed =
       (fun (off, s) ->
         let len = Slice.length s in
         let sectors = (len + Costs.sector - 1) / Costs.sector in
-        let take = min sectors !remaining in
+        let take = Int.min sectors !remaining in
         remaining := !remaining - take;
         if take > 0 then begin
-          let nbytes = min len (take * Costs.sector) in
+          let nbytes = Int.min len (take * Costs.sector) in
           Medium.write t.medium ~off (Slice.buf s) ~pos:(Slice.pos s)
             ~len:nbytes
         end;

@@ -34,7 +34,7 @@ let chunks t off len =
       let within = off mod t.unit_size in
       let dev = stripe mod ndisks t in
       let dev_off = (stripe / ndisks t * t.unit_size) + within in
-      let n = min len (t.unit_size - within) in
+      let n = Int.min len (t.unit_size - within) in
       go ((dev, dev_off, seg_off, n) :: acc) (off + n) (len - n) (seg_off + n)
     end
   in

@@ -69,10 +69,10 @@ let apply_torn dev record ~prefix ~torn_seed =
         Array.iter
           (fun (s : Record.seg) ->
             let sectors = seg_sectors s in
-            let take = min sectors !remaining in
+            let take = Int.min sectors !remaining in
             remaining := !remaining - take;
             if take > 0 then begin
-              let nbytes = min (Bytes.length s.g_data) (take * sector) in
+              let nbytes = Int.min (Bytes.length s.g_data) (take * sector) in
               Device.poke dev ~member ~off:s.g_off
                 ~data:(Bytes.sub s.g_data 0 nbytes)
             end)

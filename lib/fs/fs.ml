@@ -398,7 +398,7 @@ let writev t f ~off slices =
           copy_into dst dst_pos n
         end
         else begin
-          let k = min avail n in
+          let k = Int.min avail n in
           Slice.blit_to_bytes s ~src_pos:!rem_off dst ~dst_pos ~len:k;
           rem_off := !rem_off + k;
           copy_into dst (dst_pos + k) (n - k)
@@ -408,7 +408,7 @@ let writev t f ~off slices =
     if remaining > 0 then begin
       let idx = off / t.bs in
       let within = off mod t.bs in
-      let n = min remaining (t.bs - within) in
+      let n = Int.min remaining (t.bs - within) in
       (* Sub-block writes to on-disk blocks must read the old contents. *)
       let covers_whole = within = 0 && n = t.bs in
       let cb = get_block t f idx ~need_old:(not covers_whole) in
@@ -443,7 +443,7 @@ let write_sub t f ~off data ~pos ~len =
     if remaining > 0 then begin
       let idx = off / t.bs in
       let within = off mod t.bs in
-      let n = min remaining (t.bs - within) in
+      let n = Int.min remaining (t.bs - within) in
       let covers_whole = within = 0 && n = t.bs in
       let cb = get_block t f idx ~need_old:(not covers_whole) in
       pin cb;
@@ -472,7 +472,7 @@ let read_into t f ~off buf ~pos ~len =
     if remaining > 0 then begin
       let idx = off / t.bs in
       let within = off mod t.bs in
-      let n = min remaining (t.bs - within) in
+      let n = Int.min remaining (t.bs - within) in
       let cached = Hashtbl.mem f.f_cache idx in
       let on_disk = Hashtbl.mem f.f_blocks idx in
       if cached || on_disk then begin
@@ -536,7 +536,7 @@ let dirty_blocks f =
 (* Bytes of a block that are below EOF (tail blocks write only the used
    prefix, rounded to device blocks). *)
 let used_len t f idx =
-  let upto = min t.bs (f.f_size - (idx * t.bs)) in
+  let upto = Int.min t.bs (f.f_size - (idx * t.bs)) in
   if upto <= 0 then 0 else (upto + dev_bs - 1) / dev_bs * dev_bs
 
 let ensure_allocated t f idx =

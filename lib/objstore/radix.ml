@@ -2,9 +2,13 @@ type node = int array
 
 let fanout = Layout.radix_fanout
 
+(* Both codecs run once per node per commit and per recovery read: plain
+   loops, no per-entry closure. A node has exactly [fanout] entries, so
+   they cover the whole block and no pre-fill is needed. *)
 let node_to_bytes_into n b =
-  Bytes.fill b 0 Layout.block_size '\000';
-  Array.iteri (fun i v -> Bytes.set_int64_le b (i * 8) (Int64.of_int v)) n
+  for i = 0 to fanout - 1 do
+    Bytes.set_int64_le b (i * 8) (Int64.of_int n.(i))
+  done
 
 let node_to_bytes n =
   let b = Bytes.create Layout.block_size in
@@ -12,7 +16,11 @@ let node_to_bytes n =
   b
 
 let node_of_bytes b =
-  Array.init fanout (fun i -> Int64.to_int (Bytes.get_int64_le b (i * 8)))
+  let n = Array.make fanout 0 in
+  for i = 0 to fanout - 1 do
+    n.(i) <- Int64.to_int (Bytes.get_int64_le b (i * 8))
+  done;
+  n
 
 let capacity ~height =
   if height <= 0 then 0

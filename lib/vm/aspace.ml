@@ -130,14 +130,14 @@ let page_in t m vpn =
     | `Bytes b ->
       let p = Phys.alloc t.a_phys in
       Sched.cpu (Costs.memcpy (Bytes.length b));
-      Bytes.blit b 0 p.data 0 (min (Bytes.length b) Addr.page_size);
+      Bytes.blit b 0 p.data 0 (Int.min (Bytes.length b) Addr.page_size);
       p
     | `Slice s ->
       let module Slice = Msnap_util.Slice in
       let p = Phys.alloc t.a_phys in
       Sched.cpu (Costs.memcpy (Slice.length s));
       Slice.blit_to_bytes s ~src_pos:0 p.data ~dst_pos:0
-        ~len:(min (Slice.length s) Addr.page_size);
+        ~len:(Int.min (Slice.length s) Addr.page_size);
       p
     | `Page p -> p
   in
@@ -255,7 +255,7 @@ let page_for_read t ~va = resolve_read t (Addr.vpn_of_va va)
 let rec write_sub_loop t data va pos len =
   if len > 0 then begin
     let in_page = Addr.page_size - Addr.page_offset va in
-    let n = min len in_page in
+    let n = Int.min len in_page in
     (* Charge the copy before resolving: the store must land on the
        frame the translation produced, with no scheduling point in
        between — otherwise a concurrent μCheckpoint could COW the page
@@ -277,7 +277,7 @@ let write t ~va data = write_sub t ~va data ~pos:0 ~len:(Bytes.length data)
 let rec read_into_loop t buf va pos len =
   if len > 0 then begin
     let in_page = Addr.page_size - Addr.page_offset va in
-    let n = min len in_page in
+    let n = Int.min len in_page in
     Sched.cpu (Costs.memcpy n);
     let page = resolve_read t (Addr.vpn_of_va va) in
     Bytes.blit page.Phys.data (Addr.page_offset va) buf pos n;

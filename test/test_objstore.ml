@@ -182,6 +182,23 @@ let test_radix_iter () =
     ~f:(fun ~index ~block -> acc := (index, block) :: !acc);
   Alcotest.(check (list (pair int int))) "all present" updates (List.rev !acc)
 
+(* The node codec writes every entry without pre-filling the block: the
+   bytes must equal the zero-filled encoding, whatever the buffer held,
+   and decode back to the node. *)
+let test_radix_codec_roundtrip () =
+  let n =
+    Array.init Msnap_objstore.Layout.radix_fanout (fun i ->
+        if i mod 3 = 0 then 0 else (i * 0x9E3779B97F4A7C1) land max_int)
+  in
+  n.(Msnap_objstore.Layout.radix_fanout - 1) <- max_int;
+  let reference = Bytes.make 4096 '\000' in
+  Array.iteri (fun i v -> Bytes.set_int64_le reference (i * 8) (Int64.of_int v)) n;
+  let b = Bytes.make 4096 '\xff' in
+  Radix.node_to_bytes_into n b;
+  checkb "into a dirty buffer" true (Bytes.equal reference b);
+  checkb "fresh" true (Bytes.equal reference (Radix.node_to_bytes n));
+  Alcotest.(check (array int)) "round trip" n (Radix.node_of_bytes b)
+
 let prop_radix_model =
   QCheck.Test.make ~count:100 ~name:"radix agrees with assoc model"
     QCheck.(list_of_size Gen.(int_range 1 60)
@@ -546,6 +563,7 @@ let () =
           tc "growth preserves" test_radix_growth_preserves;
           tc "cow preserves old root" test_radix_cow_preserves_old_root;
           tc "iter" test_radix_iter;
+          tc "node codec round trip" test_radix_codec_roundtrip;
           QCheck_alcotest.to_alcotest prop_radix_model;
         ] );
       ( "store",

@@ -69,10 +69,10 @@ let test_rng_bytes_len () =
   let rng = Rng.create 1 in
   checki "length" 33 (Bytes.length (Rng.bytes rng 33))
 
-(* The unboxed splitmix64 (Rng, Wire.checksum) must be bit-exact with
-   the boxed Int64 formulation it replaced: RNG draw sequences and
-   on-media checksum bytes are simulated values. This is the Int64
-   reference. *)
+(* The library's splitmix64 (Rng, Wire.checksum) must stay bit-exact
+   with the original Int64 formulation: RNG draw sequences and on-media
+   checksum bytes are simulated values. This is that reference; the
+   known-answer tests below pin the format independently of it. *)
 module Ref64 = struct
   let mix z =
     let open Int64 in
@@ -163,6 +163,71 @@ let test_checksum_long () =
       checkb "chained checksum" true (a = r);
       prev := a)
     [ 4096; 4097; 8192; 12288; 16381 ]
+
+(* Known answers recorded from the 32-bit-halves implementation. The
+   library fold now reads almost like [Ref64], so the differential alone
+   would not catch a change made to both. *)
+let kat_buf n = Bytes.init n (fun i -> Char.chr (((i * 131) + 7) land 0xFF))
+
+let test_checksum_known_answers () =
+  let ck = Msnap_util.Wire.checksum in
+  checki "empty" 3403328846415520547 (ck Bytes.empty ~pos:0 ~len:0);
+  checki "7 bytes" 3103774524175290520
+    (ck (Bytes.of_string "memsnap") ~pos:0 ~len:7);
+  let b = kat_buf 4096 in
+  let page = ck b ~pos:0 ~len:4096 in
+  checki "4 KiB" 610153623087221168 page;
+  checki "chained init" 1918486628142928509 (ck ~init:page b ~pos:5 ~len:1000)
+
+let test_rng_known_answers () =
+  let draws seed =
+    let r = Rng.create seed in
+    let i1 = Rng.int r 1000 in
+    let i2 = Rng.int r 1_000_000_007 in
+    let i3 = Rng.int r max_int in
+    let f1 = Rng.float r in
+    let f2 = Rng.float r in
+    let b1 = Rng.bool r in
+    let b2 = Rng.bool r in
+    let b3 = Rng.bool r in
+    let b4 = Rng.bool r in
+    let x1 = Rng.bits64 r in
+    let x2 = Rng.bits64 r in
+    let c = Rng.split r in
+    let c1 = Rng.bits64 c in
+    let c2 = Rng.bits64 c in
+    let p = Rng.bits64 r in
+    ([ i1; i2; i3 ], [ f1; f2 ], [ b1; b2; b3; b4 ], [ x1; x2; c1; c2; p ])
+  in
+  let expect seed (ints, floats, bools, bits) =
+    let i, f, b, x = draws seed in
+    let name what = Printf.sprintf "seed %d %s" seed what in
+    check Alcotest.(list int) (name "int") ints i;
+    check Alcotest.(list (float 0.)) (name "float") floats f;
+    check Alcotest.(list bool) (name "bool") bools b;
+    check Alcotest.(list int64) (name "bits64/split") bits x
+  in
+  expect 1
+    ( [ 657; 474540717; 4076781235000726878 ],
+      [ 0x1.c7061a43b90b2p-2; 0x1.c6ed53634406cp-2 ],
+      [ false; true; true; false ],
+      [ -3800091893662914666L; 7455107161863376737L; 8141976017713698904L;
+        5948228060613776858L; 8392123148533390784L ] );
+  expect (-7919)
+    ( [ 48; 324073150; 3688466169112011443 ],
+      [ 0x1.e7e50dfed6612p-2; 0x1.e574f48db1bd6p-2 ],
+      [ false; true; false; false ],
+      [ -8715694945033111204L; -7793232376740338226L; 4925317131604620704L;
+        6559334030659104595L; -3630154007009438357L ] )
+
+let test_checksum_alloc_free () =
+  let b = kat_buf 4096 in
+  ignore (Msnap_util.Wire.checksum b ~pos:0 ~len:4096);
+  let m0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Msnap_util.Wire.checksum b ~pos:0 ~len:4096))
+  done;
+  checkb "Wire.checksum allocates nothing" true (Gc.minor_words () -. m0 = 0.0)
 
 let test_rng_alloc_free () =
   let rng = Rng.create 7 in
@@ -1157,11 +1222,14 @@ let () =
           tc "shuffle permutes" test_rng_shuffle_permutes;
           tc "bytes length" test_rng_bytes_len;
           tc "int draws allocation-free" test_rng_alloc_free;
+          tc "known answers" test_rng_known_answers;
           QCheck_alcotest.to_alcotest prop_rng_differential;
         ] );
       ( "wire",
         [
           tc "checksum long/chained" test_checksum_long;
+          tc "checksum known answers" test_checksum_known_answers;
+          tc "checksum allocates nothing" test_checksum_alloc_free;
           QCheck_alcotest.to_alcotest prop_checksum_differential;
         ] );
       ( "keyfmt",
