@@ -19,8 +19,10 @@ let direct_disk_latency kib =
       let dev = mk_dev () in
       let rng = Rng.create 1 in
       (* One shared payload for every iteration: contents are irrelevant
-         (charges depend only on length, nothing reads the device back)
-         and Device.write snapshots the bytes, so reuse is host-only. *)
+         (charges depend only on length, nothing reads the device back).
+         Device.write references the bytes and returns once its command
+         completes, and nothing mutates them, so sharing the buffer
+         obeys the ownership rule. *)
       let payload = Bytes.create (Size.kib kib) in
       time_mean ~iters:10 (fun () ->
           let off =

@@ -60,7 +60,6 @@ module Kernel = struct
     }
 
   let register_thread t = t.threads <- t.threads + 1
-  let thread_count t = t.threads
 
   (* Application threads park here while the world is stopped. *)
   let wait_world t =

@@ -37,8 +37,6 @@ module Kernel : sig
   (** Declare the calling thread a participant: application threads must
       register so stop-the-world knows how many safe-point round-trips to
       pay for, and so their region writes park during the stall window. *)
-
-  val thread_count : t -> int
 end
 
 module Region : sig

@@ -27,39 +27,15 @@ end
 
 type t = Dev : (module S with type t = 'a) * 'a -> t
 
-(* Both current backends make writes durable at command completion, so a
-   barrier — "all prior IO on media before any later IO" — needs exactly
-   a queue drain. *)
-module Disk_backend = struct
-  include Disk
-
-  let barrier = Disk.flush
-  let members _ = 1
-
-  let check_member d member =
-    if member <> 0 then
-      invalid_arg (Printf.sprintf "%s: no member %d" (Disk.name d) member)
-
-  let member_size d ~member =
-    check_member d member;
-    Disk.size d
-
-  let peek d ~member ~off ~len =
-    check_member d member;
-    Disk.peek d ~off ~len
-
-  let poke d ~member ~off ~data =
-    check_member d member;
-    Disk.poke d ~off ~data
-end
-
+(* A stripe makes writes durable at command completion, so a barrier —
+   "all prior IO on media before any later IO" — needs exactly a queue
+   drain. *)
 module Stripe_backend = struct
   include Stripe
 
   let barrier = Stripe.flush
 end
 
-let of_disk d = Dev ((module Disk_backend), d)
 let of_stripe s = Dev ((module Stripe_backend), s)
 
 let name (Dev ((module D), d)) = D.name d

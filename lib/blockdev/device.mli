@@ -1,16 +1,17 @@
 (** One block-device interface over every backend.
 
-    {!Disk} (a single simulated NVMe drive) and {!Stripe} (RAID-0 over
-    several) expose the same operations but distinct types, which used
-    to force every consumer — the file systems, the object store, the
-    bench harness — to pick a backend at compile time or duplicate
-    plumbing. [Device] packages any backend implementing {!S} as a
-    single first-class value, so [Fs.mkfs], [Store.format], and the
-    experiment builders take {e a device}, not a particular one.
+    [Device] packages any backend implementing {!S} as a single
+    first-class value, so [Fs.mkfs], [Store.format], and the experiment
+    builders take {e a device}, not a particular one. The library's
+    backend is a {!Stripe} (RAID-0 over {!Disk}s; one disk is a
+    one-member stripe), packed by {!of_stripe}; wrappers such as a
+    timing shim implement {!S} over another backend and repack it with
+    {!Dev}.
 
-    The zero-copy contract is part of the signature: slices handed to
-    {!writev}/{!write_slice} obey the ownership rule (not mutated until
-    the call returns in virtual time), and {!read_into} lands in the
+    The zero-copy contract is part of the signature: every write —
+    {!writev}, {!write_slice} and {!write} alike — references the
+    caller's bytes, which obey the ownership rule (not mutated until the
+    call returns in virtual time), and {!read_into} lands in the
     caller's buffer. See {!Disk} for the full statement. *)
 
 module Slice = Msnap_util.Slice
@@ -19,7 +20,7 @@ module Slice = Msnap_util.Slice
     writes become durable in issue order per command; [flush] drains the
     queue; [barrier] is the ordering point consumers should use when
     they need "everything before is on media before anything after" —
-    today both backends implement it as [flush], but the signature keeps
+    today the stripe implements it as [flush], but the signature keeps
     the distinction so a future backend with native ordered commands can
     do better. *)
 module type S = sig
@@ -65,7 +66,6 @@ type t = Dev : (module S with type t = 'a) * 'a -> t
     the forwarding functions below; the constructor is exposed so new
     backends can be packed without touching this module. *)
 
-val of_disk : Disk.t -> t
 val of_stripe : Stripe.t -> t
 
 (** {2 Forwarders} *)

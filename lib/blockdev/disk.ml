@@ -46,53 +46,30 @@ module Medium = struct
         | None -> ())
       m.chunks
 
-  (* Apply [f chunk_index chunk_off rel_pos len] over [off, off+len). *)
-  let iter_ranges _m off len f =
-    let pos = ref off and remaining = ref len in
-    while !remaining > 0 do
-      let i = !pos lsr chunk_bits in
-      let coff = !pos land (chunk_size - 1) in
-      let n = Int.min !remaining (chunk_size - coff) in
-      f i coff (!pos - off) n;
+  (* Copy [data[pos..pos+len)] to [off, off+len), one chunk at a time. *)
+  let write m ~off data ~pos ~len =
+    let off = ref off and pos = ref pos and len = ref len in
+    while !len > 0 do
+      let coff = !off land (chunk_size - 1) in
+      let n = Int.min !len (chunk_size - coff) in
+      Bytes.blit data !pos (chunk_for_write m (!off lsr chunk_bits)) coff n;
+      off := !off + n;
       pos := !pos + n;
-      remaining := !remaining - n
+      len := !len - n
     done
 
-  let write m ~off data ~pos ~len =
-    iter_ranges m off len (fun i coff rel n ->
-        Bytes.blit data (pos + rel) (chunk_for_write m i) coff n)
-
   let read_into m ~off dst ~pos ~len =
-    iter_ranges m off len (fun i coff rel n ->
-        match m.chunks.(i) with
-        | Some c -> Bytes.blit c coff dst (pos + rel) n
-        | None -> Bytes.fill dst (pos + rel) n '\000')
-
-  (* Write a run of exactly-adjacent slices [(abs_off, slice); ...] with
-     a single two-pointer walk over chunks and segments, instead of one
-     chunk-range traversal per segment. Byte effect identical to writing
-     each segment in order. *)
-  let write_segs m segs =
-    match segs with
-    | [] -> ()
-    | (off0, _) :: _ ->
-      let cur = ref segs in
-      let pos = ref off0 in
-      let continue = ref true in
-      while !continue do
-        match !cur with
-        | [] -> continue := false
-        | (o, s) :: tl ->
-          let send = o + Slice.length s in
-          let i = !pos lsr chunk_bits in
-          let coff = !pos land (chunk_size - 1) in
-          let n = Int.min (send - !pos) (chunk_size - coff) in
-          Bytes.blit (Slice.buf s)
-            (Slice.pos s + (!pos - o))
-            (chunk_for_write m i) coff n;
-          pos := !pos + n;
-          if !pos >= send then cur := tl
-      done
+    let off = ref off and pos = ref pos and len = ref len in
+    while !len > 0 do
+      let coff = !off land (chunk_size - 1) in
+      let n = Int.min !len (chunk_size - coff) in
+      (match m.chunks.(!off lsr chunk_bits) with
+      | Some c -> Bytes.blit c coff dst !pos n
+      | None -> Bytes.fill dst !pos n '\000');
+      off := !off + n;
+      pos := !pos + n;
+      len := !len - n
+    done
 end
 
 type stats = {
@@ -152,32 +129,15 @@ let check_range t off len =
       (Printf.sprintf "%s: IO out of range (off=%d len=%d size=%d)" t.dname off
          len (Medium.size t.medium))
 
-(* The only payload copy on the write path: slice -> medium, at commit. *)
-let commit_seg t (off, s) =
-  Medium.write t.medium ~off (Slice.buf s) ~pos:(Slice.pos s)
-    ~len:(Slice.length s)
-
-(* Commit coalescing: maximal sector-adjacent runs of a command's
-   segments go to the medium as one fused walk. Segments within a run
-   cannot overlap (they are exactly adjacent) and runs are processed in
-   list order, so the final bytes equal committing every segment in
-   order. Host-only: the command's simulated duration was charged for
-   its total size up front, fused or not. *)
-let commit_segs t segs =
-  let rec split_run acc endo = function
-    | (o, s) :: tl when o = endo -> split_run ((o, s) :: acc) (o + Slice.length s) tl
-    | rest -> (List.rev acc, rest)
-  in
-  let rec go = function
-    | [] -> ()
-    | (off, s) :: rest ->
-      let run, rest = split_run [ (off, s) ] (off + Slice.length s) rest in
-      (match run with
-      | [ seg ] -> commit_seg t seg
-      | run -> Medium.write_segs t.medium run);
-      go rest
-  in
-  go segs
+(* The only payload copy on the write path: slice -> medium, at commit,
+   one segment at a time in list order. Merging adjacent segments is
+   [Stripe.coalesce]'s job, done when a stripe splits the command. *)
+let rec commit medium = function
+  | [] -> ()
+  | (off, s) :: tl ->
+    Medium.write medium ~off (Slice.buf s) ~pos:(Slice.pos s)
+      ~len:(Slice.length s);
+    commit medium tl
 
 let verify_checksums t fl =
   if fl.checksums <> [] then
@@ -249,7 +209,7 @@ let writev t segs =
       t.inflight <- List.filter (fun f -> f != fl) t.inflight;
       if fl.torn then raise Powered_off;
       verify_checksums t fl;
-      commit_segs t segs;
+      commit t.medium segs;
       List.iter (fun (_, s) -> Slice.release s) segs;
       t.s_writes <- t.s_writes + 1;
       t.s_bytes_written <- t.s_bytes_written + total;
@@ -259,18 +219,7 @@ let writev t segs =
 
 let write_slice t ~off s = writev t [ (off, s) ]
 
-(* Legacy byte API: snapshots the buffer at issue (one copy) so callers
-   may reuse it immediately — the convenience contract the unit tests
-   pin. Hot paths use the slice API and the ownership rule instead. The
-   snapshot is pooled: by completion (or tear, which also commits its
-   prefix before the writer resumes) the device is done with it. *)
-let write t ~off data =
-  let len = Bytes.length data in
-  let snap = Pool.alloc len in
-  Bytes.blit data 0 snap 0 len;
-  Fun.protect
-    ~finally:(fun () -> Pool.recycle snap)
-    (fun () -> writev t [ (off, Slice.of_bytes snap) ])
+let write t ~off data = writev t [ (off, Slice.of_bytes data) ]
 
 let read_into t ~off dst =
   let len = Slice.length dst in

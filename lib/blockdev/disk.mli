@@ -12,8 +12,8 @@
 
     {2 Zero-copy write path and the ownership rule}
 
-    The slice API ({!writev}, {!write_slice}, {!read_into}) moves no
-    payload bytes at issue: the device keeps references to the caller's
+    Every write ({!writev}, {!write_slice}, {!write}) moves no payload
+    bytes at issue: the device keeps references to the caller's
     slices while the command is in flight and copies into the medium
     exactly once, at commit time. In exchange the caller promises the
     {e ownership rule}: a slice handed to a write must not be mutated
@@ -22,10 +22,9 @@
     they were at issue, preserving the issue-time-snapshot crash model.
     With [Slice.debug_checks] on, the device records a content checksum
     per segment at issue and verifies it at commit/tear, so violations
-    fail loudly in tests.
-
-    The legacy byte API ({!write}) instead snapshots by copying at issue;
-    callers may reuse the buffer immediately. *)
+    fail loudly in tests. The commit copies each segment with one medium
+    write; merging adjacent segments is {!Stripe}'s job, done once when
+    it splits a command across members. *)
 
 module Slice = Msnap_util.Slice
 
@@ -52,8 +51,8 @@ val write_slice : t -> off:int -> Slice.t -> unit
 (** [writev] of one segment. *)
 
 val write : t -> off:int -> Bytes.t -> unit
-(** Legacy convenience: snapshots [data] at issue (one copy), so the
-    caller may mutate it while the IO is in flight. *)
+(** [writev] of [data] as one segment: [data] is referenced, not copied,
+    and obeys the ownership rule like any other segment. *)
 
 val read_into : t -> off:int -> Slice.t -> unit
 (** Read [Slice.length dst] bytes at [off] directly into the caller's

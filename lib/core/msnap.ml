@@ -286,43 +286,35 @@ let length r = r.r_len
 let name r = r.r_name
 let durable_epoch r = Store.epoch r.r_obj
 
-let write t r ~off data =
-  if off < 0 || off + Bytes.length data > r.r_len then
-    invalid_arg "Msnap.write: out of range";
-  ignore t;
+(* The address space every region accessor goes through: [off, off+len)
+   must lie inside the region, which must be mapped somewhere. *)
+let region_aspace op r ~off ~len =
+  if off < 0 || len < 0 || off + len > r.r_len then
+    invalid_arg ("Msnap." ^ op ^ ": out of range");
   match r.r_aspaces with
-  | a :: _ -> Aspace.write a ~va:(r.r_va + off) data
-  | [] -> invalid_arg "Msnap.write: region not mapped"
+  | a :: _ -> a
+  | [] -> invalid_arg ("Msnap." ^ op ^ ": region not mapped")
 
-let write_slice t r ~off s =
+let write _t r ~off data =
+  let a = region_aspace "write" r ~off ~len:(Bytes.length data) in
+  Aspace.write a ~va:(r.r_va + off) data
+
+let write_slice _t r ~off s =
   let len = Slice.length s in
-  if off < 0 || off + len > r.r_len then
-    invalid_arg "Msnap.write_slice: out of range";
-  ignore t;
-  match r.r_aspaces with
-  | a :: _ ->
-    Aspace.write_sub a ~va:(r.r_va + off) (Slice.buf s) ~pos:(Slice.pos s) ~len
-  | [] -> invalid_arg "Msnap.write_slice: region not mapped"
+  let a = region_aspace "write_slice" r ~off ~len in
+  Aspace.write_sub a ~va:(r.r_va + off) (Slice.buf s) ~pos:(Slice.pos s) ~len
 
 (* Zero-copy: the string's bytes feed Aspace's per-page copy directly —
    no intermediate [Bytes.of_string]. *)
 let write_string t r ~off s = write_slice t r ~off (Slice.of_string s)
 
-let read t r ~off ~len =
-  if off < 0 || off + len > r.r_len then invalid_arg "Msnap.read: out of range";
-  ignore t;
-  match r.r_aspaces with
-  | a :: _ -> Aspace.read a ~va:(r.r_va + off) ~len
-  | [] -> invalid_arg "Msnap.read: region not mapped"
+let read _t r ~off ~len =
+  Aspace.read (region_aspace "read" r ~off ~len) ~va:(r.r_va + off) ~len
 
 (* Same charges as [read], into a caller-owned buffer. *)
-let read_into t r ~off buf ~pos ~len =
-  if off < 0 || off + len > r.r_len then
-    invalid_arg "Msnap.read_into: out of range";
-  ignore t;
-  match r.r_aspaces with
-  | a :: _ -> Aspace.read_into a ~va:(r.r_va + off) buf ~pos ~len
-  | [] -> invalid_arg "Msnap.read_into: region not mapped"
+let read_into _t r ~off buf ~pos ~len =
+  Aspace.read_into (region_aspace "read_into" r ~off ~len) ~va:(r.r_va + off)
+    buf ~pos ~len
 
 (* --- persist --- *)
 
@@ -606,9 +598,6 @@ let dirty_count_of_region t r =
       done;
       acc + !n)
     t.dirty 0
-
-let tracked_threads t =
-  Hashtbl.fold (fun _ d acc -> if d.d_len > 0 then acc + 1 else acc) t.dirty 0
 
 let region_by_name t name = Hashtbl.find_opt t.regions name
 

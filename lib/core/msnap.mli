@@ -104,8 +104,6 @@ val dirty_count : t -> int
 
 val dirty_count_of_region : t -> md -> int
 
-val tracked_threads : t -> int
-
 exception Property_violation of string
 (** Raised (when [strict] checking is on) if two threads dirty the same
     page without an intervening persist — the condition Fig. 2's property
@@ -119,18 +117,11 @@ val region_by_name : t -> string -> md option
 
 (** {2 Crash recovery ({!Msnap_faults})} *)
 
-val cell_max : int
-(** Longest value {!cell_write} accepts (the 256-byte slot minus its
-    length prefix). *)
-
 val cell_write : t -> md -> off:int -> string -> unit
 (** Store a value in the fixed-size cell at [off]: every update writes
     the full 256-byte slot, so the command stream a crash workload
-    issues is independent of the value lengths. *)
-
-val cell_read : t -> md -> off:int -> string option
-(** [None] when the slot's length prefix is out of range (torn or
-    unwritten media that slipped past recovery). *)
+    issues is independent of the value lengths. Values longer than 254
+    bytes (the slot minus its length prefix) raise [Invalid_argument]. *)
 
 type recovered = {
   rec_kernel : t;

@@ -35,8 +35,6 @@ let create ?(nbuffers = 2048) smgr =
   { smgr; buffers = Hashtbl.create nbuffers; capacity = nbuffers;
     clock = Fvec.create () }
 
-let smgr_label t = t.smgr.s_label
-
 let evict_one t =
   (* Clock sweep: decrement usage along the ring; evict the first zero.
      Walks newest-to-oldest (end-to-start), restarting up to twice when

@@ -38,8 +38,6 @@ let open_db st =
   }
 
 let storage t = t.st
-let xid txn = txn.t_xid
-let committed_txns t = t.n_committed
 
 let tables t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.heaps [] |> List.sort compare

@@ -23,8 +23,6 @@ val with_txn : t -> (txn -> 'a) -> 'a
 (** Begin, run, commit; aborts (releasing row locks, leaving the
     transaction uncommitted in the clog) if the callback raises. *)
 
-val xid : txn -> int
-
 (** {2 Statements (inside a transaction)} *)
 
 val insert : t -> txn -> table:string -> key:string -> string -> unit
@@ -36,5 +34,4 @@ val update : t -> txn -> table:string -> key:string -> string -> bool
 val update_with : t -> txn -> table:string -> key:string -> (string -> string) -> bool
 (** Read-modify-write under the row lock. *)
 
-val committed_txns : t -> int
 val tables : t -> string list

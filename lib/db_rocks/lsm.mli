@@ -8,8 +8,6 @@
 
 type t
 
-val l0_trigger : int
-
 val create : Msnap_fs.Fs.t -> name:string -> t
 
 val add_run : t -> (string * string option) list -> unit
@@ -23,4 +21,3 @@ val collect_from : t -> string -> n:int -> (string * string) list
 
 val l0_runs : t -> int
 val compactions : t -> int
-val total_bytes : t -> int

@@ -8,6 +8,7 @@ module Store = Msnap_objstore.Store
 module Phys = Msnap_vm.Phys
 module Aspace = Msnap_vm.Aspace
 module Recoverable = Msnap_faults.Recoverable
+module Slice = Msnap_util.Slice
 
 type backend =
   | Baseline of Msnap_fs.Fs.t
@@ -137,11 +138,12 @@ let wal_append b pairs =
       if Bytes.length b.wal_zeros < len then b.wal_zeros <- Bytes.make len '\000';
       Sched.with_bucket Probe.Bucket.write (fun () ->
           Metrics.timed Probe.db_write (fun () ->
-              Fs.write_sub b.fs b.wal ~off:b.wal_size b.wal_zeros ~pos:0 ~len));
+              Fs.writev b.fs b.wal ~off:b.wal_size
+                [ Slice.make b.wal_zeros ~pos:0 ~len ]));
       b.wal_size <- b.wal_size + len)
     pairs;
   Msnap_sim.Sched.with_bucket Probe.Bucket.fsync (fun () ->
-      Metrics.timed Probe.db_fsync (fun () -> Fs.fdatasync b.fs b.wal))
+      Metrics.timed Probe.db_fsync (fun () -> Fs.fsync b.fs b.wal))
 
 let maybe_flush b =
   if Skiplist.approximate_bytes b.memtable >= b.flush_bytes then begin
@@ -156,7 +158,7 @@ let maybe_flush b =
     Lsm.add_run b.lsm (List.rev !pairs);
     Skiplist.clear b.memtable;
     Fs.truncate b.fs b.wal 0;
-    Metrics.timed Probe.db_fsync (fun () -> Fs.fdatasync b.fs b.wal);
+    Metrics.timed Probe.db_fsync (fun () -> Fs.fsync b.fs b.wal);
     b.wal_size <- 0
   end
 

@@ -7,8 +7,6 @@
 
 type t
 
-val index_stride : int
-
 val build :
   Msnap_fs.Fs.t -> name:string -> (string * string option) list -> t
 (** Write a run from sorted [(key, value-or-tombstone)] pairs. *)
@@ -16,7 +14,6 @@ val build :
 val name : t -> string
 val count : t -> int
 val bytes : t -> int
-val min_key : t -> string
 val max_key : t -> string
 
 val get : t -> string -> string option option

@@ -18,7 +18,6 @@
 type kind = Leaf | Interior
 
 val size : int (* 4096 *)
-val header_size : int
 
 val init : Bytes.t -> kind -> unit
 val kind_of : Bytes.t -> kind
@@ -45,7 +44,6 @@ val interior_insert_at : Bytes.t -> int -> child:int -> key:string -> bool
 
 val delete_at : Bytes.t -> int -> unit
 
-val leaf_cell_size : key:string -> value:string -> int
 val interior_cell_size : key:string -> int
 
 val search : Bytes.t -> string -> [ `Found of int | `Insert_before of int ]

@@ -146,7 +146,5 @@ let restore_hwm t hwm = if hwm > t.hwm then t.hwm <- hwm
 
 let hwm_changed_in_txn t =
   match t.txn with Some txn -> t.hwm <> txn.hwm_at_begin | None -> false
-let cached_pages t = Hashtbl.length t.cache
-
 let dirty_pages t =
   match t.txn with Some txn -> Hashtbl.length txn.dirty | None -> 0

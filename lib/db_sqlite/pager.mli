@@ -48,8 +48,6 @@ val alloc_page : t -> int
 
 val npages : t -> int
 
-val cached_pages : t -> int
-
 val dirty_pages : t -> int
 (** Dirty set size of the open transaction. *)
 

@@ -37,10 +37,6 @@ val steps : t -> step array
 val nsteps : t -> int
 val ready : t -> int
 
-val set_boundary : t -> int -> unit
-(** Set by the checker before calling an engine's [check]: the boundary
-    index the media image was crashed at. *)
-
 val boundary : t -> int
 
 val with_boundary : t -> int -> t

@@ -378,87 +378,56 @@ let get_block t f idx ~need_old =
 (* One buffered write of the concatenation of [slices] at [off]. The
    syscall/rangelock charge and the per-fs-block-chunk memcpy charges are
    those of a single write of the combined length, so callers can gather
-   a header and a payload without materializing the frame first. *)
+   a header and a payload without materializing the frame first. The
+   loops keep their cursors in local refs, so the write allocates no
+   closure. *)
 let writev t f ~off slices =
   let trace_t0 = if Trace.is_on () then Sched.now () else 0 in
   Sched.cpu (Costs.syscall + Costs.vfs_call + Costs.rangelock);
   let len = List.fold_left (fun a s -> a + Slice.length s) 0 slices in
-  (* Cursor over the scatter list: [copy_into] drains the next [n]
-     payload bytes into the cache block. *)
+  (* Cursor over the scatter list: the next payload byte is
+     [List.hd !rem] at [!rem_off]. *)
   let rem = ref slices and rem_off = ref 0 in
-  let rec copy_into dst dst_pos n =
-    if n > 0 then
+  let pos = ref off and remaining = ref len in
+  while !remaining > 0 do
+    let idx = !pos / t.bs in
+    let within = !pos mod t.bs in
+    let n = Int.min !remaining (t.bs - within) in
+    (* Sub-block writes to on-disk blocks must read the old contents. *)
+    let covers_whole = within = 0 && n = t.bs in
+    let cb = get_block t f idx ~need_old:(not covers_whole) in
+    (* The memcpy charge can yield; pin so that an eviction during the
+       yield defers the buffer's recycle past our blit. (The write into
+       an evicted block is lost either way, as before pooling.) *)
+    pin cb;
+    Sched.cpu (Costs.memcpy n);
+    (* Drain the next [n] payload bytes into the cache block. *)
+    let dst = ref within and todo = ref n in
+    while !todo > 0 do
       match !rem with
       | [] -> assert false
       | s :: tl ->
-        let avail = Slice.length s - !rem_off in
-        if avail = 0 then begin
+        let k = Int.min (Slice.length s - !rem_off) !todo in
+        Slice.blit_to_bytes s ~src_pos:!rem_off cb.cb_data ~dst_pos:!dst ~len:k;
+        dst := !dst + k;
+        todo := !todo - k;
+        if !rem_off + k = Slice.length s then begin
           rem := tl;
-          rem_off := 0;
-          copy_into dst dst_pos n
+          rem_off := 0
         end
-        else begin
-          let k = Int.min avail n in
-          Slice.blit_to_bytes s ~src_pos:!rem_off dst ~dst_pos ~len:k;
-          rem_off := !rem_off + k;
-          copy_into dst (dst_pos + k) (n - k)
-        end
-  in
-  let rec go off remaining =
-    if remaining > 0 then begin
-      let idx = off / t.bs in
-      let within = off mod t.bs in
-      let n = Int.min remaining (t.bs - within) in
-      (* Sub-block writes to on-disk blocks must read the old contents. *)
-      let covers_whole = within = 0 && n = t.bs in
-      let cb = get_block t f idx ~need_old:(not covers_whole) in
-      (* The memcpy charge can yield; pin so that an eviction during the
-         yield defers the buffer's recycle past our blit. (The write into
-         an evicted block is lost either way, as before pooling.) *)
-      pin cb;
-      Sched.cpu (Costs.memcpy n);
-      copy_into cb.cb_data within n;
-      cb.cb_dirty <- true;
-      unpin cb;
-      go (off + n) (remaining - n)
-    end
-  in
-  go off len;
+        else rem_off := !rem_off + k
+    done;
+    cb.cb_dirty <- true;
+    unpin cb;
+    pos := !pos + n;
+    remaining := !remaining - n
+  done;
   if off + len > f.f_size then f.f_size <- off + len;
   if Trace.is_on () then
     Trace.complete Probe.fs_write ~dur:(Sched.now () - trace_t0)
       ~argi:("bytes", len)
 
 let write t f ~off data = writev t f ~off [ Slice.of_bytes data ]
-
-(* Single-buffer write with the exact charges of [writev] of one slice
-   of the same length, but no slice/list allocation — for hot fixed-size
-   writers (the WAL append path) that reuse one backing buffer. *)
-let write_sub t f ~off data ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length data then
-    invalid_arg "Fs.write_sub: bad slice";
-  let trace_t0 = if Trace.is_on () then Sched.now () else 0 in
-  Sched.cpu (Costs.syscall + Costs.vfs_call + Costs.rangelock);
-  let rec go off pos remaining =
-    if remaining > 0 then begin
-      let idx = off / t.bs in
-      let within = off mod t.bs in
-      let n = Int.min remaining (t.bs - within) in
-      let covers_whole = within = 0 && n = t.bs in
-      let cb = get_block t f idx ~need_old:(not covers_whole) in
-      pin cb;
-      Sched.cpu (Costs.memcpy n);
-      Bytes.blit data pos cb.cb_data within n;
-      cb.cb_dirty <- true;
-      unpin cb;
-      go (off + n) (pos + n) (remaining - n)
-    end
-  in
-  go off pos len;
-  if off + len > f.f_size then f.f_size <- off + len;
-  if Trace.is_on () then
-    Trace.complete Probe.fs_write ~dur:(Sched.now () - trace_t0)
-      ~argi:("bytes", len)
 
 (* Read into a caller-owned buffer — the exact charges of [read], which
    is this plus the output allocation. Every chunk is either blitted from
@@ -630,8 +599,7 @@ let fsync_zfs t f dirty =
   dev_writev t (List.map (fun b -> (b * dev_bs, zero_slice t dev_bs)) ind);
   dev_write t ~off:(dev_bs / 2) (zero_slice t 512)
 
-let do_fsync t f ~meta =
-  ignore meta;
+let fsync t f =
   let trace_t0 = if Trace.is_on () then Sched.now () else 0 in
   Sched.cpu (Costs.syscall + Costs.vfs_call);
   charge_resident_scan t f;
@@ -655,9 +623,6 @@ let do_fsync t f ~meta =
   if Trace.is_on () then
     Trace.complete Probe.fs_fsync ~dur:(Sched.now () - trace_t0)
       ~args:[ ("file", Trace.S f.f_name); ("dirty_blocks", Trace.I !nblocks) ]
-
-let fsync t f = do_fsync t f ~meta:true
-let fdatasync t f = do_fsync t f ~meta:false
 
 (* --- mmap --- *)
 
@@ -727,7 +692,7 @@ let msync t f =
         (List.map (fun rel -> Addr.vpn_of_va (mm.mm_va + (rel * Addr.page_size))) rels);
       Hashtbl.reset mm.mm_dirty)
     f.f_mmaps;
-  do_fsync t f ~meta:true;
+  fsync t f;
   if Trace.is_on () then
     Trace.complete Probe.fs_msync ~dur:(Sched.now () - trace_t0)
       ~args:[ ("file", Trace.S f.f_name) ]
@@ -1043,9 +1008,6 @@ let dispose t =
   t.scratch_zeros <- Bytes.empty;
   Pool.recycle t.scratch_journal;
   t.scratch_journal <- Bytes.empty
-
-let debug_resident _t f =
-  Hashtbl.fold (fun idx cb acc -> Printf.sprintf "%d(lru%d,%b) %s" idx cb.cb_lru cb.cb_dirty acc) f.f_cache ""
 
 (* --- crash recovery contract --- *)
 

@@ -36,8 +36,8 @@ type kind = Ffs | Zfs
 
 val mkfs : Msnap_blockdev.Device.t -> kind:kind -> t
 (** Format a file system over any block device (see
-    {!Msnap_blockdev.Device}); wrap a raw backend with [Device.of_disk]
-    or [Device.of_stripe]. *)
+    {!Msnap_blockdev.Device}); wrap a stripe of one or more disks with
+    [Device.of_stripe]. *)
 
 exception Mount_error of string
 (** Acked transactions cannot be reconstructed (journal seq gap past an
@@ -58,20 +58,18 @@ val open_file : t -> string -> file
 val exists : t -> string -> bool
 val remove : t -> string -> unit
 
-val write : t -> file -> off:int -> Bytes.t -> unit
-
-(** [write] of [data[pos..pos+len)] — the exact charges of {!writev} of
-    one slice of that length, with no slice/list allocation. For hot
-    fixed-size writers that reuse one backing buffer. *)
-val write_sub : t -> file -> off:int -> Bytes.t -> pos:int -> len:int -> unit
-(** Buffered write (syscall + cache copy; RMW read if needed). *)
-
 val writev : t -> file -> off:int -> Msnap_util.Slice.t list -> unit
-(** Gathered buffered write of the slices' concatenation at [off]: one
-    syscall charge and one cache copy of the combined payload, exactly as
-    a {!write} of the same total length. The slices are consumed before
-    the call returns (the page cache owns the bytes afterwards), so no
-    ownership obligation outlives the call. *)
+(** Buffered write of the slices' concatenation at [off]: one syscall
+    charge, one cache copy of the combined payload per fs-block chunk,
+    and a read-modify-write of each partially covered block that is on
+    disk but not cached. Empty slices contribute nothing. The slices are consumed
+    before the call returns (the page cache owns the bytes afterwards),
+    so no ownership obligation outlives the call. This is the only
+    write loop; hot fixed-size writers pass one [Slice.make] view of
+    their reused buffer. *)
+
+val write : t -> file -> off:int -> Bytes.t -> unit
+(** {!writev} of [data] as one slice. *)
 
 val read : t -> file -> off:int -> len:int -> Bytes.t
 (** Zero-fills holes, like read(2) past sparse regions. *)
@@ -82,8 +80,8 @@ val read_into : t -> file -> off:int -> Bytes.t -> pos:int -> len:int -> unit
     untouched. *)
 
 val fsync : t -> file -> unit
-val fdatasync : t -> file -> unit
-(** Like [fsync] minus the metadata update IO. *)
+(** Write the file's dirty cache blocks back with the cost structure of
+    the file system's design (see the header). *)
 
 val truncate : t -> file -> int -> unit
 val size : t -> file -> int
@@ -118,9 +116,6 @@ val rmw_reads : t -> int
 (** Read-modify-write block reads triggered by sub-block writes. *)
 
 (**/**)
-
-val debug_resident : t -> file -> string
-(** Resident block indexes, for tests. *)
 
 (** {2 Crash recovery ({!Msnap_faults})} *)
 

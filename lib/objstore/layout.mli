@@ -11,12 +11,9 @@
     single sector flips the object to its new epoch. *)
 
 val block_size : int (* 4096 *)
-val block_shift : int
 val sb_blocks : int (* 2 *)
 val first_data_block : int
-val ptr_size : int (* 8 *)
 val radix_fanout : int (* 512 *)
-val name_max : int (* 200 *)
 
 val checksum : Bytes.t -> pos:int -> len:int -> int64
 (** FNV-1a over a byte range. *)

@@ -1,7 +1,5 @@
 let syscall = 400
-let memcpy_per_byte = 1 (* used via [memcpy] below: ~12 GiB/s *)
-
-let memcpy n = (n + 11) / 12
+let memcpy n = (n + 11) / 12 (* ~12 GiB/s *)
 
 let fault_entry = 900
 let pte_visit = 6
@@ -34,7 +32,6 @@ let journal_entry = 1_200
 let fsync_resident_scan_per_page = 12
 let cow_indirect_update = 450
 
-let ctx_switch = 1_500
 let thread_stop_signal = 2_000
 
 let io_initiate = 400

@@ -19,10 +19,6 @@
 val syscall : int
 (** Kernel entry/exit. *)
 
-val memcpy_per_byte : int
-(** Userspace copy bandwidth, in ns per 16 bytes charged per byte via
-    {!memcpy}. *)
-
 val memcpy : int -> int
 (** [memcpy n] is the time to copy [n] bytes (~12 GiB/s). *)
 
@@ -69,12 +65,9 @@ val page_copy : int
 val disk_base : int
 (** Per-command latency floor. *)
 
-val disk_per_byte_num : int
-val disk_per_byte_den : int
-(** Transfer time is [size * num / den] ns (~2.2 GiB/s per device). *)
-
 val disk_xfer : int -> int
-(** [disk_xfer n] transfer component for [n] bytes. *)
+(** [disk_xfer n] transfer component for [n] bytes: [n * 45 / 100] ns
+    (~2.2 GiB/s per device). *)
 
 val disk_channels : int
 (** Commands one device can service concurrently. *)
@@ -104,7 +97,6 @@ val cow_indirect_update : int
 
 (** {2 Scheduling} *)
 
-val ctx_switch : int
 val thread_stop_signal : int
 (** Cost to interrupt one running thread at a safe point (Aurora's
     stop-all-threads barrier charges this per thread). *)

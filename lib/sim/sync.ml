@@ -30,8 +30,6 @@ module Mutex = struct
   let with_lock t f =
     lock t;
     Fun.protect ~finally:(fun () -> unlock t) f
-
-  let is_locked t = t.locked
 end
 
 module Condition = struct
@@ -40,15 +38,12 @@ module Condition = struct
   let create () = { waiters = Waitq.create () }
 
   let wait t m =
-    (* Park first, then release the mutex, so a signal between unlock and
-       park cannot be lost. Sched.suspend registers synchronously. *)
+    (* Park first, then release the mutex, so a broadcast between unlock
+       and park cannot be lost. Sched.suspend registers synchronously. *)
     Sched.suspend (fun w ->
         Waitq.add t.waiters w;
         Mutex.unlock m);
     Mutex.lock m
-
-  let signal t =
-    if not (Waitq.is_empty t.waiters) then Sched.wake (Waitq.take t.waiters)
 
   let broadcast t =
     (* Waking never runs the woken thread (it only schedules it), so
@@ -71,13 +66,6 @@ module Semaphore = struct
   let release t =
     if Waitq.is_empty t.waiters then t.count <- t.count + 1
     else Sched.wake (Waitq.take t.waiters)
-
-  let try_acquire t =
-    if t.count > 0 then begin
-      t.count <- t.count - 1;
-      true
-    end
-    else false
 
   let value t = t.count
 end
@@ -138,13 +126,6 @@ module Channel = struct
     | None ->
       Sched.suspend (fun w -> Waitq.add t.receivers w);
       recv t
-
-  let try_recv t =
-    match Queue.take_opt t.items with
-    | Some v ->
-      wake_one t.senders;
-      Some v
-    | None -> None
 
   let length t = Queue.length t.items
 end

@@ -13,7 +13,6 @@ module Mutex : sig
 
   val try_lock : t -> bool
   val with_lock : t -> (unit -> 'a) -> 'a
-  val is_locked : t -> bool
 end
 
 module Condition : sig
@@ -24,7 +23,6 @@ module Condition : sig
   val wait : t -> Mutex.t -> unit
   (** Atomically release the mutex and block; re-acquires before return. *)
 
-  val signal : t -> unit
   val broadcast : t -> unit
 end
 
@@ -34,7 +32,6 @@ module Semaphore : sig
   val create : int -> t
   val acquire : t -> unit
   val release : t -> unit
-  val try_acquire : t -> bool
   val value : t -> int
 end
 
@@ -62,6 +59,5 @@ module Channel : sig
   val create : capacity:int -> 'a t
   val send : 'a t -> 'a -> unit
   val recv : 'a t -> 'a
-  val try_recv : 'a t -> 'a option
   val length : 'a t -> int
 end

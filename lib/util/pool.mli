@@ -23,7 +23,7 @@
       device-visible buffers the Slice ownership rule marks the safe
       point: recycle at (or after) command completion, never while a
       slice over the buffer is lent to an in-flight command.
-    - Buffers smaller than [min_pooled] are not pooled: [alloc] is a
+    - Buffers smaller than 4096 bytes are not pooled: [alloc] is a
       plain [Bytes.create] and [recycle] a no-op. Small buffers are
       minor-heap business the GC already handles well.
 
@@ -61,9 +61,6 @@ exception Violation of string
 (** Raised under {!debug_checks} on a double recycle or on a mutation of
     a buffer after it was recycled (use-after-recycle). *)
 
-val min_pooled : int
-(** Smallest buffer size the pool manages (4096 bytes). *)
-
 val debug_checks : bool ref
 (** The same ref as [Slice.debug_checks] — one switch arms every
     data-plane integrity check. *)
@@ -78,7 +75,7 @@ val alloc_zeroed : int -> Bytes.t
 val recycle : Bytes.t -> unit
 (** Park a buffer for reuse by a later [alloc] of the same size. The
     caller must own the buffer exclusively and must not touch it again.
-    No-op for buffers smaller than [min_pooled]. *)
+    No-op for buffers smaller than 4096 bytes. *)
 
 val stats : unit -> class_stats list
 (** Per-class counters for this domain, sorted by class size. *)

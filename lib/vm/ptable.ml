@@ -86,4 +86,3 @@ let scan_range t ~vpn ~n ~f =
   go (Addr.levels - 1) t.root 0;
   !visited
 
-let node_count t = t.nodes

@@ -35,5 +35,3 @@ val scan_range : t -> vpn:int -> n:int -> f:(int -> Ptloc.t -> unit) -> int
     Absent subtrees are skipped the way real scans skip empty PML entries,
     but each existing leaf contributes its full slot count. *)
 
-val node_count : t -> int
-(** Allocated nodes (all levels), for memory accounting. *)

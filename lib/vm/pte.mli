@@ -12,14 +12,12 @@ val empty : t
 val present : t -> bool
 val writable : t -> bool
 val cow : t -> bool
-val accessed : t -> bool
 
 val make : frame:int -> writable:bool -> t
 val frame : t -> int
 
 val set_writable : t -> bool -> t
 val set_cow : t -> bool -> t
-val set_accessed : t -> bool -> t
 val set_frame : t -> int -> t
 
 val pp : t -> string

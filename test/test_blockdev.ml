@@ -97,19 +97,25 @@ let test_stats () =
       checki "reset" 0 (Disk.stats d).Disk.writes)
     ()
 
-let test_write_buffer_snapshot () =
-  (* The device must capture the buffer at submission: later mutation of
-     the caller's bytes must not leak to the medium. *)
+let test_inflight_write_mutation_detected () =
+  (* [write] references the caller's bytes like every other write, so
+     they fall under the ownership rule: mutating them while the command
+     is in flight is a violation, and the debug checks raise it at
+     commit. *)
   in_sim (fun () ->
       let d = mk_disk () in
       let b = Bytes.of_string "AAAA" in
-      let t = Sched.spawn (fun () -> Disk.write d ~off:0 b) in
+      let caught = ref "" in
+      let t =
+        Sched.spawn (fun () ->
+            try Disk.write d ~off:0 b with Invalid_argument m -> caught := m)
+      in
       (* Let the writer submit, then mutate while the IO is in flight. *)
       Sched.delay 1;
       Bytes.set b 0 'Z';
       Sched.join t;
-      check_bytes "snapshot" "AAAA"
-        (Bytes.to_string (Disk.read d ~off:0 ~len:4)))
+      checkb "ownership violation raised" true
+        (String.starts_with ~prefix:"nvme: ownership violation" !caught))
     ()
 
 let test_power_failure_blocks_io () =
@@ -349,7 +355,7 @@ let prop_zero_copy_crash_equivalence =
    the single merged write — same recovered image AND same virtual-time
    cost — no matter where the cuts fall or where the run lands relative
    to stripe-unit and device boundaries. This pins down the write
-   coalescing in Stripe/Disk: merging is a host-side optimization. *)
+   coalescing in Stripe: merging is a host-side optimization. *)
 let prop_coalesce_equivalence =
   let open QCheck in
   let gen =
@@ -388,29 +394,74 @@ let prop_coalesce_equivalence =
       let merged = run [ (off, Slice.make backing ~pos:0 ~len) ] in
       fst split = fst merged && Bytes.equal (snd split) (snd merged))
 
-(* --- Device: one interface over both backends --- *)
+(* Property: vectored commands of device-adjacent segments, each from
+   its own buffer (so the commit copies every segment separately), at
+   byte-unaligned offsets that cross the medium's 256 KiB chunks, read
+   back equal to a flat model; chunks no write touched read back as
+   zeros. *)
+let prop_writev_flat_model =
+  let open QCheck in
+  let disk_size = Size.mib 1 and chunk = Size.kib 256 in
+  let gen =
+    Gen.(
+      let* ncmds = int_range 1 3 in
+      list_repeat ncmds
+        (let* start = int_range 0 (disk_size - 1) in
+         let* nsegs = int_range 1 5 in
+         let* lens = list_repeat nsegs (int_range 0 (Size.kib 160)) in
+         let* seed = int_range 0 1_000_000 in
+         return (start, lens, seed)))
+  in
+  QCheck.Test.make ~count:60
+    ~name:"writev of adjacent distinct-buffer segments = flat model"
+    (make gen)
+    (fun cmds ->
+      let model = Bytes.make disk_size '\000' in
+      let touched = Array.make (disk_size / chunk) false in
+      let back =
+        Sched.run (fun () ->
+            let d = mk_disk ~size:disk_size () in
+            List.iter
+              (fun (start, lens, seed) ->
+                let rng = Msnap_util.Rng.create seed in
+                let off = ref start in
+                let segs =
+                  List.filter_map
+                    (fun len ->
+                      let len = Int.min len (disk_size - !off) in
+                      if len = 0 then None
+                      else begin
+                        (* Each segment sits at an odd position inside its
+                           own larger buffer. *)
+                        let buf = Msnap_util.Rng.bytes rng (len + 3) in
+                        let seg = (!off, Slice.make buf ~pos:1 ~len) in
+                        Bytes.blit buf 1 model !off len;
+                        for c = !off / chunk to (!off + len - 1) / chunk do
+                          touched.(c) <- true
+                        done;
+                        off := !off + len;
+                        Some seg
+                      end)
+                    lens
+                in
+                Disk.writev d segs)
+              cmds;
+            Disk.read d ~off:0 ~len:disk_size)
+      in
+      let zero_chunks_ok =
+        Array.to_list touched
+        |> List.mapi (fun c t -> (c, t))
+        |> List.for_all (fun (c, t) ->
+               t
+               || Bytes.for_all (fun ch -> ch = '\000')
+                    (Bytes.sub back (c * chunk) chunk))
+      in
+      Bytes.equal back model && zero_chunks_ok)
+
+(* --- Device: one interface over every backend --- *)
 
 (* The packed Device must forward every operation unchanged: same data,
-   same virtual-time cost, same stats as calling the backend directly. *)
-let test_device_disk_parity () =
-  let direct =
-    Sched.run (fun () ->
-        let d = mk_disk () in
-        Disk.write d ~off:4096 (Bytes.make 512 'q');
-        let b = Disk.read d ~off:4096 ~len:512 in
-        Disk.flush d;
-        (Bytes.to_string b, Sched.now (), (Disk.stats d).Disk.writes))
-  in
-  let wrapped =
-    Sched.run (fun () ->
-        let dev = Device.of_disk (mk_disk ()) in
-        Device.write dev ~off:4096 (Bytes.make 512 'q');
-        let b = Device.read dev ~off:4096 ~len:512 in
-        Device.flush dev;
-        (Bytes.to_string b, Sched.now (), (Device.stats dev).Disk.writes))
-  in
-  Alcotest.(check (triple string int int)) "disk parity" direct wrapped
-
+   same virtual-time cost, same size as calling the backend directly. *)
 let test_device_stripe_parity () =
   let mk () =
     Stripe.create
@@ -436,7 +487,7 @@ let test_device_stripe_parity () =
 
 let test_device_power_failure () =
   Sched.run (fun () ->
-      let dev = Device.of_disk (mk_disk ()) in
+      let dev = Device.of_stripe (Stripe.create [ mk_disk () ]) in
       Device.write dev ~off:0 (Bytes.make 512 'x');
       Device.fail_power dev ~torn_seed:1;
       checkb "write raises when off" true
@@ -473,11 +524,13 @@ let () =
           tc "channel limit" test_channels_limit_concurrency;
           tc "out of range" test_out_of_range;
           tc "stats" test_stats;
-          tc "buffer snapshot" test_write_buffer_snapshot;
+          tc "in-flight write mutation detected"
+            test_inflight_write_mutation_detected;
           tc "power failure" test_power_failure_blocks_io;
           tc "torn write" test_torn_write;
           tc "torn prefix sweep (zero-copy = snapshot)" test_torn_prefix_sweep;
           QCheck_alcotest.to_alcotest prop_zero_copy_crash_equivalence;
+          QCheck_alcotest.to_alcotest prop_writev_flat_model;
         ] );
       ( "stripe",
         [
@@ -490,7 +543,6 @@ let () =
         ] );
       ( "device",
         [
-          tc "disk parity" test_device_disk_parity;
           tc "stripe parity" test_device_stripe_parity;
           tc "power failure through wrapper" test_device_power_failure;
           tc "barrier makes prior IO durable" test_device_barrier_orders;

@@ -16,7 +16,8 @@ module Checker = Msnap_faults.Checker
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
-let mk_disk () = Device.of_disk (Disk.create ~size:(Size.mib 4) ())
+(* One disk is a one-member stripe: the same backend production uses. *)
+let mk_disk () = Device.of_stripe (Stripe.create [ Disk.create ~size:(Size.mib 4) () ])
 
 let mk_stripe () =
   Device.of_stripe

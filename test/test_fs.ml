@@ -245,30 +245,63 @@ let test_sync_meta_writes () =
       checkb "metadata flushed to device" true (Fs.bytes_written_to_disk fs > before))
     ()
 
-let test_fdatasync_cheaper_than_fsync () =
-  in_sim (fun () ->
-      let fs = mk_fs () in
-      let f = Fs.open_file fs "f" in
-      let time_one sync =
-        Fs.write fs f ~off:0 (Bytes.make 4096 'x');
+(* [writev] is the only write loop: a gather of several slices, empty
+   ones included, across an fs-block boundary behaves exactly like
+   [write] of their concatenation — same file bytes, same virtual-time
+   charge, same read-modify-write reads. The partially covered blocks
+   are on disk and evicted, so both sides pay RMW reads. *)
+let test_writev_equals_write () =
+  let run write =
+    Sched.run (fun () ->
+        let fs = mk_fs () in
+        Fs.set_cache_capacity fs 2;
+        let f = Fs.open_file fs "g" in
+        let bs = Fs.fs_block_size fs in
+        for i = 0 to 7 do
+          Fs.write fs f ~off:(i * bs) (Bytes.make bs 'A')
+        done;
+        Fs.fsync fs f;
+        let rmw0 = Fs.rmw_reads fs in
         let t0 = Sched.now () in
-        sync ();
-        Sched.now () - t0
-      in
-      let full = time_one (fun () -> Fs.fsync fs f) in
-      let data_only = time_one (fun () -> Fs.fdatasync fs f) in
-      checkb "fdatasync not slower" true (data_only <= full))
-    ()
+        write fs f ~off:((3 * bs) - 700);
+        let dt = Sched.now () - t0 in
+        let back = Fs.read fs f ~off:0 ~len:(Fs.size fs f) in
+        (Bytes.to_string back, dt, Fs.rmw_reads fs - rmw0))
+  in
+  let parts = [ ""; "head-"; ""; String.make 1000 'p'; "-tail"; "" ] in
+  let backing = Bytes.of_string ("xx" ^ String.concat "" parts ^ "yy") in
+  (* Views into one shared backing buffer, plus standalone buffers. *)
+  let slices =
+    let pos = ref 2 in
+    List.mapi
+      (fun i p ->
+        let len = String.length p in
+        let s =
+          if i mod 2 = 0 then Msnap_util.Slice.make backing ~pos:!pos ~len
+          else Msnap_util.Slice.of_bytes (Bytes.of_string p)
+        in
+        pos := !pos + len;
+        s)
+      parts
+  in
+  let flat = Bytes.of_string (String.concat "" parts) in
+  let bytes_v, dt_v, rmw_v = run (fun fs f ~off -> Fs.writev fs f ~off slices) in
+  let bytes_w, dt_w, rmw_w = run (fun fs f ~off -> Fs.write fs f ~off flat) in
+  checks "file bytes" bytes_w bytes_v;
+  checki "virtual time" dt_w dt_v;
+  checki "rmw reads" rmw_w rmw_v;
+  checkb "the write paid RMW reads" true (rmw_w > 0)
 
 (* --- mount / recovery ---
 
-   Mount tests use one plain disk so the raw-media helpers ([peek],
-   [poke]) address device offsets directly. The suite runs with debug
+   Mount tests use a one-disk stripe, so the raw-media helpers ([peek],
+   [poke]) on member 0 address device offsets directly. The suite runs with debug
    checks on, so every pooled scan buffer a mount reuses arrives
    poisoned: a parse that looked past the bytes actually read would see
    poison, not data. *)
 
-let mk_dev () = Device.of_disk (Disk.create ~name:"d0" ~size:(Size.mib 16) ())
+let mk_dev () =
+  Device.of_stripe (Stripe.create [ Disk.create ~name:"d0" ~size:(Size.mib 16) () ])
 
 (* Write [data] at [off] of [name] and fsync it: one committed journal
    transaction. *)
@@ -404,7 +437,7 @@ let () =
           tc "remove" test_remove;
           tc "resident scan" test_resident_scan_cost_grows;
           tc "sync_meta" test_sync_meta_writes;
-          tc "fdatasync" test_fdatasync_cheaper_than_fsync;
+          tc "writev = write of the concatenation" test_writev_equals_write;
         ] );
       ( "mount",
         [

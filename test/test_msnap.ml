@@ -386,6 +386,38 @@ let test_open_bounds () =
          with Invalid_argument _ -> true))
     ()
 
+(* Every region accessor shares one bounds check: each rejects an
+   offset past the end (with a length that fits at offset 0) and a
+   negative offset, and a rejected write leaves the region unchanged. *)
+let test_accessors_reject_out_of_range () =
+  in_sim (fun () ->
+      let k, _, _ = mk_machine (mk_dev ()) in
+      let len = Size.kib 16 in
+      let md = Msnap.open_region k ~name:"db" ~len () in
+      let buf = Bytes.make 8 'z' in
+      let accessors =
+        [ ("write", fun off -> Msnap.write k md ~off buf);
+          ("write_slice",
+           fun off -> Msnap.write_slice k md ~off (Msnap_util.Slice.of_bytes buf));
+          ("write_string", fun off -> Msnap.write_string k md ~off "zzzzzzzz");
+          ("read", fun off -> ignore (Msnap.read k md ~off ~len:8));
+          ("read_into", fun off -> Msnap.read_into k md ~off buf ~pos:0 ~len:8) ]
+      in
+      List.iter
+        (fun (name, access) ->
+          List.iter
+            (fun off ->
+              checkb
+                (Printf.sprintf "%s rejects off=%d" name off)
+                true
+                (match access off with
+                | () -> false
+                | exception Invalid_argument _ -> true))
+            [ len - 7; len; -1 ])
+        accessors;
+      checks "region untouched" (String.make 8 '\000') (str_read k md ~off:(len - 8) ~len:8))
+    ()
+
 let prop_persist_recover_random =
   QCheck.Test.make ~count:20 ~name:"random writes+persists recover exactly"
     QCheck.(list_of_size Gen.(int_range 1 30)
@@ -473,6 +505,8 @@ let () =
           tc "async latency" test_async_latency_vs_sync;
           tc "persist nothing" test_persist_nothing;
           tc "bounds" test_open_bounds;
+          tc "accessors reject out-of-range offsets"
+            test_accessors_reject_out_of_range;
         ] );
       ( "threads",
         [
