@@ -164,119 +164,69 @@ let captured buf f =
 
 let section title = printf "\n=== %s ===\n" title
 
-(* --- host accounting frames ---
+(* --- host ledger ---
 
-   Per-experiment wall/allocation/pool numbers in BENCH_sim.json must
-   stay attributable to *that* experiment even though a domain awaiting
-   its own cells helps run other tasks (its own cells, or another
-   experiment's). A frame brackets a region of host work; closing it
-   yields deltas exclusive of any frame nested inside it (a helped
-   task opens its own frame), and records which cells were forced under
-   it so the experiment can add exactly its own cells' costs back in —
-   wherever those cells actually ran. *)
-
-type hostm = {
-  h_wall_s : float;
-  h_minor : float;
-  h_major : float;
-  h_hits : int;
-  h_misses : int;
-  h_sched_ev : int; (* scheduler run-queue events executed *)
-  h_ctx_sw : int; (* pops that handed the CPU to a different thread *)
-}
-
-type frame = {
-  fr_t0 : float;
-  fr_minor0 : float;
-  fr_major0 : float;
-  fr_hits0 : int;
-  fr_misses0 : int;
-  fr_ev0 : int;
-  fr_ctx0 : int;
-  (* raw totals of directly-nested frames, to subtract *)
-  mutable fr_n_wall : float;
-  mutable fr_n_minor : float;
-  mutable fr_n_major : float;
-  mutable fr_n_hits : int;
-  mutable fr_n_misses : int;
-  mutable fr_n_ev : int;
-  mutable fr_n_ctx : int;
-  mutable fr_cells : hostm list; (* forced under this frame, reversed *)
-}
+   Per-experiment wall/allocation/pool/scheduler numbers in
+   BENCH_sim.json must stay attributable to *that* experiment even
+   though a domain awaiting its cells helps run other tasks (its own
+   cells, or another experiment's). Each domain charges its host work to
+   one current ledger: [switch] reads the domain's counters once,
+   charges the deltas since the previous switch to the current ledger,
+   and installs the next one. Host work changes owner only at the start
+   and end of an experiment (main.ml) and of a cell body ([cell]), so a
+   ledger is exclusive by construction; [force] folds a cell's ledger
+   into the forcing experiment's with the same [Pstats.merge] that folds
+   its metrics. Ledgers stay out of the Metrics store, which experiments
+   reset mid-run. *)
 
 module Pool = Msnap_util.Pool
+module Pstats = Msnap_sim.Pstats
 
-let frames_key : frame list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+let host_wall_ns = Probe.make Host "host.wall_ns"
+let host_minor_words = Probe.make Host "host.minor_words"
+let host_major_words = Probe.make Host "host.major_words"
+let pool_hits = Probe.make Host "pool.hits"
+let pool_misses = Probe.make Host "pool.misses"
+let sched_events = Probe.make Host "sched.events"
+let ctx_switches = Probe.make Host "sched.ctx_switches"
 
-let frame_begin () =
-  (* [Gc.counters] (unlike [Gc.quick_stat]'s word counts, which are
-     process-wide in OCaml 5) is domain-local, so frames measure only
-     this domain's allocation no matter what other domains do
-     concurrently. *)
+let charged =
+  [| host_wall_ns; host_minor_words; host_major_words; pool_hits;
+     pool_misses; sched_events; ctx_switches |]
+
+(* One reading per probe of [charged]. [Gc.counters] (unlike
+   [Gc.quick_stat]'s word counts, which are process-wide in OCaml 5) is
+   domain-local, like the pool and scheduler counters, so a ledger holds
+   only this domain's work whatever other domains do concurrently. *)
+let read () =
   let minor, _, major = Gc.counters () in
   let p = Pool.totals () in
-  let ev0, ctx0, _, _ = Sched.host_counters () in
-  let fr =
-    {
-      fr_t0 = Unix.gettimeofday ();
-      fr_minor0 = minor;
-      fr_major0 = major;
-      fr_hits0 = p.Pool.t_hits;
-      fr_misses0 = p.Pool.t_misses;
-      fr_ev0 = ev0;
-      fr_ctx0 = ctx0;
-      fr_n_wall = 0.0;
-      fr_n_minor = 0.0;
-      fr_n_major = 0.0;
-      fr_n_hits = 0;
-      fr_n_misses = 0;
-      fr_n_ev = 0;
-      fr_n_ctx = 0;
-      fr_cells = [];
-    }
-  in
-  let slot = Domain.DLS.get frames_key in
-  slot := fr :: !slot
+  let ev, ctx, _, _ = Sched.host_counters () in
+  [| int_of_float (Unix.gettimeofday () *. 1e9); int_of_float minor;
+     int_of_float major; p.Pool.t_hits; p.Pool.t_misses; ev; ctx |]
 
-(* Returns (exclusive host deltas, cells forced under the frame in
-   force order). *)
-let frame_end () =
-  let slot = Domain.DLS.get frames_key in
-  match !slot with
-  | [] -> invalid_arg "Env.frame_end: no open frame"
-  | fr :: rest ->
-    slot := rest;
-    let minor1, _, major1 = Gc.counters () in
-    let p = Pool.totals () in
-    let ev1, ctx1, _, _ = Sched.host_counters () in
-    let wall = Unix.gettimeofday () -. fr.fr_t0 in
-    let minor = minor1 -. fr.fr_minor0 in
-    let major = major1 -. fr.fr_major0 in
-    let hits = p.Pool.t_hits - fr.fr_hits0 in
-    let misses = p.Pool.t_misses - fr.fr_misses0 in
-    let ev = ev1 - fr.fr_ev0 in
-    let ctx = ctx1 - fr.fr_ctx0 in
-    (match rest with
-    | parent :: _ ->
-      parent.fr_n_wall <- parent.fr_n_wall +. wall;
-      parent.fr_n_minor <- parent.fr_n_minor +. minor;
-      parent.fr_n_major <- parent.fr_n_major +. major;
-      parent.fr_n_hits <- parent.fr_n_hits + hits;
-      parent.fr_n_misses <- parent.fr_n_misses + misses;
-      parent.fr_n_ev <- parent.fr_n_ev + ev;
-      parent.fr_n_ctx <- parent.fr_n_ctx + ctx
-    | [] -> ());
-    ( {
-        h_wall_s = wall -. fr.fr_n_wall;
-        h_minor = minor -. fr.fr_n_minor;
-        h_major = major -. fr.fr_n_major;
-        h_hits = hits - fr.fr_n_hits;
-        h_misses = misses - fr.fr_n_misses;
-        h_sched_ev = ev - fr.fr_n_ev;
-        h_ctx_sw = ctx - fr.fr_n_ctx;
-      },
-      List.rev fr.fr_cells )
+type ledger = {
+  costs : Pstats.t; (* the [charged] probes' counts *)
+  mutable cells : int list; (* forced cells' host.wall_ns, reversed *)
+}
+
+let ledger () = { costs = Pstats.create (); cells = [] }
+
+type owner = { mutable cur : ledger; mutable mark : int array }
+
+let owner_key : owner Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { cur = ledger (); mark = read () })
+
+(* Charge this domain's host work since the last switch to the current
+   ledger, install [next], and return the displaced ledger. *)
+let switch next =
+  let o = Domain.DLS.get owner_key in
+  let now = read () in
+  Array.iteri (fun i p -> Pstats.incr o.cur.costs p (now.(i) - o.mark.(i))) charged;
+  o.mark <- now;
+  let prev = o.cur in
+  o.cur <- next;
+  prev
 
 (* --- simulation cells ---
 
@@ -285,39 +235,39 @@ let frame_end () =
    no state shared with other cells or the enclosing experiment) — and
    queues it on the task pool. [force] waits for it, replays its [emit]
    output here, folds its metrics/trace into this domain (in force
-   order — see Msnap_sim.Cell), books its host costs to the enclosing
-   frame, and returns its value. With zero pool workers the body runs
+   order — see Msnap_sim.Cell), folds its host ledger into the current
+   one, and returns its value. With zero pool workers the body runs
    inline at [force]: `-j 1` is exactly the old serial execution. *)
 
 module Cell = Msnap_sim.Cell
 module Taskpool = Msnap_util.Taskpool
 
-type 'a cell_outcome = { co_v : 'a; co_out : string; co_host : hostm }
+type 'a cell_outcome = { co_v : 'a; co_out : string; co_host : Pstats.t }
 type 'a pending = 'a cell_outcome Cell.t
 
 let cell f : _ pending =
   Cell.submit (fun () ->
-      frame_begin ();
+      let led = ledger () in
+      let outer = switch led in
       let buf = Buffer.create 256 in
       let slot = Domain.DLS.get disposals_key in
       let saved = !slot in
       slot := [];
-      match captured buf f with
-      | v ->
-        slot := saved;
-        let host, _ = frame_end () in
-        { co_v = v; co_out = Buffer.contents buf; co_host = host }
-      | exception e ->
-        slot := saved;
-        ignore (frame_end ());
-        raise e)
+      let v =
+        Fun.protect
+          ~finally:(fun () ->
+            slot := saved;
+            ignore (switch outer))
+          (fun () -> captured buf f)
+      in
+      { co_v = v; co_out = Buffer.contents buf; co_host = led.costs })
 
 let force (p : _ pending) =
   let o = Cell.force p in
   emit o.co_out;
-  (match !(Domain.DLS.get frames_key) with
-  | fr :: _ -> fr.fr_cells <- o.co_host :: fr.fr_cells
-  | [] -> ());
+  let cur = (Domain.DLS.get owner_key).cur in
+  Pstats.merge ~into:cur.costs o.co_host;
+  cur.cells <- Pstats.count o.co_host host_wall_ns :: cur.cells;
   o.co_v
 
 (* --- buffer-pool pre-warming ---
@@ -326,7 +276,7 @@ let force (p : _ pending) =
    miss for every buffer of their working set: nothing was ever
    recycled on a cold domain. Build-and-dispose a small file-system
    machine and a small MemSnap machine once per domain, outside any
-   accounting frame, so the first real experiment finds the machine-
+   experiment's ledger, so the first real experiment finds the machine-
    building size classes (fs cache blocks, disk medium chunks, page
    frames) already parked. Host-only: pool warmth affects hit/miss
    counters, never a simulated value. *)

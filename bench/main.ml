@@ -30,14 +30,7 @@ let experiments =
     ("table9", ("RocksDB MixGraph comparison", Exp_rocks.table9));
     ("table10", ("MemSnap vs Aurora persist cost", Exp_micro.table10));
     ("fig6", ("PostgreSQL TPC-C variants", Exp_pg.fig6));
-    ("bechamel", ("wall-clock micro-suite", Bechamel_suite.run));
   ]
-
-(* Experiments that measure host wall-clock must run alone: concurrent
-   domains both skew their numbers and break Bechamel's GC-stabilization
-   loop ("Unable to stabilize the number of live words"). The -j pool
-   runs them serially after it drains. *)
-let serial_only name = name = "bechamel"
 
 let select names =
   match names with
@@ -84,22 +77,22 @@ let trace_path_for ~trace ~multi name =
       | Some base -> Some (Printf.sprintf "%s.%s.json" base name)
       | None -> Some (Printf.sprintf "%s.%s" path name))
 
-(* Time [f] inside a host accounting frame (Env.frame_begin/end). The
-   frame's exclusive deltas plus the deltas of the cells this
-   experiment forced — wherever those cells actually ran — attribute
-   allocation and pool traffic to this experiment even when its domain
-   helped run other tasks while awaiting, or its cells ran on workers.
-   Wall clock stays the raw elapsed span: the experiment's critical
-   path. Trace collection and export happen right here, on whichever
-   domain ran the experiment (cells merge into this domain's buffer at
-   force time). *)
+(* Time [f] on a fresh host ledger (Env.switch). The ledger holds this
+   experiment's own host work plus, folded in at force time, that of the
+   cells it forced — wherever those cells actually ran — so allocation,
+   pool and scheduler counts stay attributed to this experiment even when
+   its domain helped run other tasks while awaiting. Wall clock stays the
+   raw elapsed span: the experiment's critical path. Trace collection and
+   export happen right here, on whichever domain ran the experiment
+   (cells merge into this domain's buffer at force time). *)
 let timed ?trace_path name f =
   if trace_path <> None then Trace.enable ();
-  Env.frame_begin ();
+  let led = Env.ledger () in
+  let outer = Env.switch led in
   let t0 = Unix.gettimeofday () in
   f ();
   let wall = Unix.gettimeofday () -. t0 in
-  let host, cells = Env.frame_end () in
+  ignore (Env.switch outer);
   let trace_events, trace_dropped, trace_s =
     match trace_path with
     | None -> (0, 0, 0.0)
@@ -123,21 +116,21 @@ let timed ?trace_path name f =
           name d.Trace.d_dropped;
       (n, d.Trace.d_dropped, Unix.gettimeofday () -. e0)
   in
-  let sumf sel = List.fold_left (fun a c -> a +. sel c) 0.0 cells in
-  let sumi sel = List.fold_left (fun a c -> a + sel c) 0 cells in
+  let host p = Env.Pstats.count led.Env.costs p in
   {
     t_name = name;
     t_wall_s = wall;
-    t_minor_words = host.Env.h_minor +. sumf (fun c -> c.Env.h_minor);
-    t_major_words = host.Env.h_major +. sumf (fun c -> c.Env.h_major);
-    t_pool_hits = host.Env.h_hits + sumi (fun c -> c.Env.h_hits);
-    t_pool_misses = host.Env.h_misses + sumi (fun c -> c.Env.h_misses);
-    t_sched_events = host.Env.h_sched_ev + sumi (fun c -> c.Env.h_sched_ev);
-    t_ctx_switches = host.Env.h_ctx_sw + sumi (fun c -> c.Env.h_ctx_sw);
+    t_minor_words = float_of_int (host Env.host_minor_words);
+    t_major_words = float_of_int (host Env.host_major_words);
+    t_pool_hits = host Env.pool_hits;
+    t_pool_misses = host Env.pool_misses;
+    t_sched_events = host Env.sched_events;
+    t_ctx_switches = host Env.ctx_switches;
     t_trace_events = trace_events;
     t_trace_dropped = trace_dropped;
     t_trace_s = trace_s;
-    t_cell_wall_s = List.map (fun c -> c.Env.h_wall_s) cells;
+    t_cell_wall_s =
+      List.rev_map (fun ns -> float_of_int ns /. 1e9) led.Env.cells;
   }
 
 (* Run [selected] serially on this domain, printing as we go. *)
@@ -179,17 +172,10 @@ let run_parallel ~trace jobs selected =
   Taskpool.on_worker_init Env.warm;
   Taskpool.ensure_workers (jobs - 1);
   let tasks =
-    Array.mapi
-      (fun i (name, _) ->
-        if serial_only name then None
-        else Some (Taskpool.submit ~cls:Taskpool.Heavy (fun () -> run_one i)))
-      arr
+    Array.init n (fun i -> Taskpool.submit ~cls:Taskpool.Heavy (fun () -> run_one i))
   in
-  Array.iter (function Some t -> Taskpool.await t | None -> ()) tasks;
-  (* Wall-clock-sensitive experiments run alone, after the pool drains
-     and its domains are joined. *)
+  Array.iter Taskpool.await tasks;
   Taskpool.shutdown ();
-  Array.iteri (fun i (name, _) -> if serial_only name then run_one i) arr;
   Array.iter print_string outputs;
   Array.to_list times
 
@@ -240,8 +226,6 @@ let run names jobs timings_path trace partial =
       (List.length experiments);
     exit 2
   end;
-  if names = [] then
-    print_endline "MemSnap reproduction: regenerating every table and figure";
   (* Park the machine-building buffer classes before any timed window
      (workers do the same via Taskpool.on_worker_init). *)
   Env.warm ();
@@ -262,7 +246,7 @@ open Cmdliner
 
 let names =
   Arg.(value & opt_all string [] & info [ "e"; "experiment" ]
-         ~doc:"Experiment id (table1..table10, fig1..fig6, bechamel). \
+         ~doc:"Experiment id (table1..table10, fig1..fig6). \
                Repeatable; default runs all.")
 
 let jobs =

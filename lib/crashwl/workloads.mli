@@ -6,12 +6,8 @@
     command stream, so every crash point the checker visits is a
     replayable [(prefix, torn_seed)] pair. *)
 
-val msnap_workload : Msnap_faults.Checker.workload
 val objstore_workload : Msnap_faults.Checker.workload
 val fs_workload : Msnap_faults.Checker.workload
-val sqlite_workload : Msnap_faults.Checker.workload
-val pg_workload : Msnap_faults.Checker.workload
-val rocks_workload : Msnap_faults.Checker.workload
 
 val all : Msnap_faults.Checker.workload list
 (** All six, in canonical order: msnap, objstore, fs, sqlite, pg,
